@@ -31,7 +31,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "progen/progen.h"
-#include "support/arena.h"
 #include "support/parallel.h"
 #include "tensor/segment_ops.h"
 #include "train/batch_plan.h"
@@ -274,13 +273,12 @@ void BM_GatherScatter(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherScatter);
 
-// ----- fused message-passing executor + arena -----
+// ----- fused message-passing executor -----
 // Same contract style as the kernel benches above: the fused strategy is
 // asserted bit-identical to the unfused reference before anything is timed,
 // and the variants are pinned to one pool thread so the numbers isolate the
-// fusion / arena effect rather than parallel speedup. "heap_allocs" counts
-// ArenaAllocator heap-path allocations per iteration — the allocator
-// traffic the arena variant removes.
+// fusion effect rather than parallel speedup. "heap_allocs" counts Matrix
+// storage allocations per pass (thread_matrix_heap_allocs).
 
 struct FusedBenchData {
   GraphTensors gt;
@@ -290,8 +288,8 @@ struct FusedBenchData {
 const FusedBenchData& fused_bench_data() {
   static const FusedBenchData* data = [] {
     // An 8-graph disjoint union — the steady-state batched-training shape,
-    // large enough that the [E, hidden] tensors the fused path avoids (and
-    // the allocator traffic the arena absorbs) dominate fixed overheads.
+    // large enough that the [E, hidden] tensors the fused path avoids
+    // dominate fixed overheads.
     auto* d = new FusedBenchData;
     std::vector<GraphTensors> tensors;
     std::vector<Matrix> feats;
@@ -337,9 +335,9 @@ std::unique_ptr<GnnEncoder> fused_bench_encoder(GnnKind kind, bool fused) {
   return make_encoder(kind, cfg, rng);
 }
 
-/// Unfused reference composition, heap-backed ("Reference" in the name
-/// keeps it out of the cross-machine CI comparison, like the kernel
-/// benches' serial references).
+/// Unfused reference composition ("Reference" in the name keeps it out of
+/// the cross-machine CI comparison, like the kernel benches' serial
+/// references).
 void BM_FusedEncoderReference(benchmark::State& state) {
   ThreadPool::set_global_threads(1);
   const auto kind = static_cast<GnnKind>(state.range(0));
@@ -353,21 +351,19 @@ void BM_FusedEncoderReference(benchmark::State& state) {
     benchmark::DoNotOptimize(fused_bench_pass(*enc, d).data());
   }
   state.counters["heap_allocs"] = allocs;
-  state.SetLabel(std::string(gnn_kind_name(kind)) + " unfused/heap");
+  state.SetLabel(std::string(gnn_kind_name(kind)) + " unfused");
   ThreadPool::set_global_threads(g_default_threads);
 }
 BENCHMARK(BM_FusedEncoderReference)
     ->Arg(static_cast<int>(GnnKind::kGcn))
     ->Arg(static_cast<int>(GnnKind::kRgcn));
 
-/// Fused executor, with the per-batch scratch arena off (arg 1 == 0) or on
-/// (arg 1 == 1). Both variants assert bit-identity against the unfused
-/// reference before the timing loop: a mismatch exits nonzero and fails the
+/// Fused executor. Asserts bit-identity against the unfused reference
+/// before the timing loop: a mismatch exits nonzero and fails the
 /// bench-smoke CI job regardless of machine speed.
 void BM_FusedEncoderForward(benchmark::State& state) {
   ThreadPool::set_global_threads(1);
   const auto kind = static_cast<GnnKind>(state.range(0));
-  const bool arena = state.range(1) != 0;
   const FusedBenchData& d = fused_bench_data();
   const auto enc = fused_bench_encoder(kind, /*fused=*/true);
   {
@@ -375,29 +371,20 @@ void BM_FusedEncoderForward(benchmark::State& state) {
     die_on_mismatch(fused_bench_pass(*enc, d) == fused_bench_pass(*ref, d),
                     "fused encoder forward");
   }
-  std::uint64_t allocs = 0;
-  {
-    const ArenaScope scratch(arena ? &thread_scratch_arena() : nullptr);
-    const std::uint64_t allocs_before = thread_matrix_heap_allocs();
-    benchmark::DoNotOptimize(fused_bench_pass(*enc, d).data());
-    allocs = thread_matrix_heap_allocs() - allocs_before;
-  }
+  const std::uint64_t allocs_before = thread_matrix_heap_allocs();
+  benchmark::DoNotOptimize(fused_bench_pass(*enc, d).data());
+  const auto allocs =
+      static_cast<double>(thread_matrix_heap_allocs() - allocs_before);
   for (auto _ : state) {
-    // Scope first, pass second: everything the tape allocates dies before
-    // the scope's destructor resets the arena (arena.h lifetime rules).
-    const ArenaScope scratch(arena ? &thread_scratch_arena() : nullptr);
     benchmark::DoNotOptimize(fused_bench_pass(*enc, d).data());
   }
-  state.counters["heap_allocs"] = static_cast<double>(allocs);
-  state.SetLabel(std::string(gnn_kind_name(kind)) +
-                 (arena ? " fused/arena" : " fused/heap"));
+  state.counters["heap_allocs"] = allocs;
+  state.SetLabel(std::string(gnn_kind_name(kind)) + " fused");
   ThreadPool::set_global_threads(g_default_threads);
 }
 BENCHMARK(BM_FusedEncoderForward)
-    ->Args({static_cast<int>(GnnKind::kGcn), 0})
-    ->Args({static_cast<int>(GnnKind::kGcn), 1})
-    ->Args({static_cast<int>(GnnKind::kRgcn), 0})
-    ->Args({static_cast<int>(GnnKind::kRgcn), 1});
+    ->Arg(static_cast<int>(GnnKind::kGcn))
+    ->Arg(static_cast<int>(GnnKind::kRgcn));
 
 /// BM_FusedEncoderForward's exact workload plus the per-batch observability
 /// work a serving worker pays with obs enabled: a trace span over the
@@ -409,7 +396,6 @@ BENCHMARK(BM_FusedEncoderForward)
 void BM_FusedEncoderForwardObs(benchmark::State& state) {
   ThreadPool::set_global_threads(1);
   const auto kind = static_cast<GnnKind>(state.range(0));
-  const bool arena = state.range(1) != 0;
   const FusedBenchData& d = fused_bench_data();
   const auto enc = fused_bench_encoder(kind, /*fused=*/true);
   {
@@ -425,19 +411,15 @@ void BM_FusedEncoderForwardObs(benchmark::State& state) {
   TraceCollector& tc = TraceCollector::global();
   for (auto _ : state) {
     const std::int64_t t0 = tc.now_us();
-    const ArenaScope scratch(arena ? &thread_scratch_arena() : nullptr);
     const ObsSpan span(true, "forward", "bench");
     benchmark::DoNotOptimize(fused_bench_pass(*enc, d).data());
     batches->add();
     latency->record(static_cast<std::uint64_t>(tc.now_us() - t0));
   }
-  state.SetLabel(std::string(gnn_kind_name(kind)) +
-                 (arena ? " fused/arena+obs" : " fused/heap+obs"));
+  state.SetLabel(std::string(gnn_kind_name(kind)) + " fused+obs");
   ThreadPool::set_global_threads(g_default_threads);
 }
-BENCHMARK(BM_FusedEncoderForwardObs)
-    ->Args({static_cast<int>(GnnKind::kGcn), 0})
-    ->Args({static_cast<int>(GnnKind::kGcn), 1});
+BENCHMARK(BM_FusedEncoderForwardObs)->Arg(static_cast<int>(GnnKind::kGcn));
 
 void BM_EncoderForward(benchmark::State& state) {
   LoweredProgram p = lower_to_cdfg(generate_cdfg_program(5));
@@ -669,7 +651,7 @@ void BM_TrainerEpoch(benchmark::State& state) {
     restore_parameters(model, initial);  // same workload every iteration
     state.ResumeTiming();
     Trainer trainer(model, tc, hooks, 99);
-    trainer.fit(plan, nullptr);
+    trainer.fit(plan, FitOptions{}, nullptr);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(trainer_corpus().size()));
@@ -693,7 +675,7 @@ void BM_TrainerFirstEpoch(benchmark::State& state) {
     state.ResumeTiming();
     BatchPlan plan = build_trainer_plan(tc);
     Trainer trainer(model, tc, hooks, 99);
-    trainer.fit(plan, nullptr);
+    trainer.fit(plan, FitOptions{}, nullptr);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(trainer_corpus().size()));

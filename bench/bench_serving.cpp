@@ -413,7 +413,7 @@ bool scheduled_bit_identity_all_kinds() {
     tc.batch_size = 4;
     tc.seed = 5;
     QorPredictor predictor(Approach::kOffTheShelf, mc, tc);
-    predictor.fit(samples, split, Metric::kLut);
+    predictor.fit(samples, split, Metric::kLut, FitOptions{});
     std::vector<double> expected;
     for (const Sample& s : samples) expected.push_back(predictor.predict(s));
     bool kind_ok = true;
@@ -458,7 +458,8 @@ int run(int argc, const char* const* argv) {
   QorPredictor predictor(Approach::kOffTheShelf, model_config(cfg),
                          train_config(cfg));
   Timer fit_timer;
-  const double val = predictor.fit(samples, split, Metric::kLut);
+  const double val =
+      predictor.fit(samples, split, Metric::kLut, FitOptions{}).best_val;
   std::cout << "fit: val MAPE " << TextTable::pct(val) << " in "
             << TextTable::num(fit_timer.seconds(), 1) << "s\n\n";
 
@@ -492,10 +493,10 @@ int run(int argc, const char* const* argv) {
   };
   const long w = cfg.batch_window_us;
   const std::vector<Row> rows = {
-      {"max-batch=1 (no batching)", {1, 0, cfg.arena}},
-      {"max-batch=N, window=0", {cfg.max_batch, 0, cfg.arena}},
-      {"max-batch=N, window=W", {cfg.max_batch, w, cfg.arena}},
-      {"max-batch=N, window=5W", {cfg.max_batch, 5 * w, cfg.arena}},
+      {"max-batch=1 (no batching)", {1, 0}},
+      {"max-batch=N, window=0", {cfg.max_batch, 0}},
+      {"max-batch=N, window=W", {cfg.max_batch, w}},
+      {"max-batch=N, window=5W", {cfg.max_batch, 5 * w}},
   };
 
   TextTable table({"serving config", "graphs/s", "avg batch", "p50 us",
@@ -536,7 +537,7 @@ int run(int argc, const char* const* argv) {
     } else {
       extra_models.push_back(std::make_unique<QorPredictor>(
           Approach::kOffTheShelf, model_config(cfg), train_config(cfg)));
-      extra_models.back()->fit(samples, split, metric);
+      extra_models.back()->fit(samples, split, metric, FitOptions{});
       p = extra_models.back().get();
     }
     models.push_back(p);
@@ -570,14 +571,12 @@ int run(int argc, const char* const* argv) {
   ServeConfig batcher_sc;
   batcher_sc.max_batch = cfg.max_batch;
   batcher_sc.batch_window_us = cfg.batch_window_us;
-  batcher_sc.arena = cfg.arena;
   batcher_sc.obs = obs_config(cfg);
   SchedulerConfig shared_sc;
   shared_sc.workers = sched_workers;
   shared_sc.max_batch = cfg.max_batch;
   shared_sc.batch_window_us = cfg.batch_window_us;
   shared_sc.adaptive_window = true;
-  shared_sc.arena = cfg.arena;
   shared_sc.obs = obs_config(cfg);
   // Admission control is what makes goodput survive saturation: bound the
   // queue at roughly one in-flight batch per worker so an ACCEPTED request

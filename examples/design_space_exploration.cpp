@@ -39,7 +39,8 @@ QorPredictor train_predictor(const std::vector<Sample>& corpus,
   tc.batch_size = 8;
   QorPredictor predictor(Approach::kOffTheShelf, mc, tc);
   Timer t;
-  const double val = predictor.fit(corpus, split, metric);
+  const double val =
+      predictor.fit(corpus, split, metric, FitOptions{}).best_val;
   std::cout << "  " << metric_name(metric) << " predictor: val MAPE "
             << TextTable::pct(val) << " in " << TextTable::num(t.seconds(), 1)
             << "s\n";

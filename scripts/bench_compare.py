@@ -42,6 +42,11 @@ gate reliably in CI. Times prefer cpu_time over real_time: the pair gate
 measures added work, not scheduling. Every --pair-b entry must find a
 partner; A entries without a B are noted but never fail.
 
+Repeated records: when an artifact holds several non-aggregate records of
+one name (google-benchmark --benchmark_repetitions=N writes one per
+repetition), every mode compares their MEDIAN. google-benchmark's own
+aggregate rows (mean/median/stddev/cv) are skipped either way.
+
 Exit status: 0 = no regression, 1 = at least one regression, 2 = usage or
 parse error.
 """
@@ -50,21 +55,34 @@ import argparse
 import json
 import math
 import re
+import statistics
 import sys
 
 TIME_UNITS = {"ns", "us", "ms", "s"}
 
 
+def median_by_name(records):
+    """Collapses (name, value, extra) records to {name: (median, extra)}:
+    repeated records of one name are repetitions of one measurement, so
+    none of them may silently overwrite the others."""
+    values, extras = {}, {}
+    for name, value, extra in records:
+        values.setdefault(name, []).append(value)
+        extras[name] = extra
+    return {n: (statistics.median(v), extras[n]) for n, v in values.items()}
+
+
 def load_entries(path):
     """Returns {name: (value, direction, normalizable)} where direction is
-    +1 (higher is better) or -1 (lower is better)."""
+    +1 (higher is better) or -1 (lower is better) and value is the median
+    over repeated records."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"error: cannot read {path}: {e}")
 
-    entries = {}
+    records = []
     if isinstance(doc, dict) and "benchmarks" in doc:
         # google-benchmark dialect.
         for b in doc["benchmarks"]:
@@ -72,9 +90,10 @@ def load_entries(path):
                 continue
             name = b["name"]
             if "items_per_second" in b:
-                entries[name] = (float(b["items_per_second"]), +1, True)
+                records.append((name, float(b["items_per_second"]),
+                                (+1, True)))
             elif "real_time" in b:
-                entries[name] = (float(b["real_time"]), -1, True)
+                records.append((name, float(b["real_time"]), (-1, True)))
     elif isinstance(doc, dict) and "entries" in doc:
         # BenchJsonLog dialect.
         for e in doc["entries"]:
@@ -85,9 +104,12 @@ def load_entries(path):
                 direction, normalizable = -1, True
             else:
                 direction, normalizable = +1, False
-            entries[e["name"]] = (float(e["value"]), direction, normalizable)
+            records.append((e["name"], float(e["value"]),
+                            (direction, normalizable)))
     else:
         sys.exit(f"error: {path} is not a recognized bench JSON artifact")
+    entries = {n: (v, *extra)
+               for n, (v, extra) in median_by_name(records).items()}
     if not entries:
         sys.exit(f"error: {path} contains no comparable entries")
     return entries
@@ -96,27 +118,29 @@ def load_entries(path):
 def load_times(path):
     """Returns {name: time} for pair mode — per-iteration time in the
     artifact's own unit (consistent within one file, which is all a ratio
-    needs). Prefers cpu_time for google-benchmark records."""
+    needs), the median over repeated records. Prefers cpu_time for
+    google-benchmark records."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"error: cannot read {path}: {e}")
-    times = {}
+    records = []
     if isinstance(doc, dict) and "benchmarks" in doc:
         for b in doc["benchmarks"]:
             if b.get("run_type") == "aggregate":
                 continue
             if "cpu_time" in b:
-                times[b["name"]] = float(b["cpu_time"])
+                records.append((b["name"], float(b["cpu_time"]), None))
             elif "real_time" in b:
-                times[b["name"]] = float(b["real_time"])
+                records.append((b["name"], float(b["real_time"]), None))
     elif isinstance(doc, dict) and "entries" in doc:
         for e in doc["entries"]:
             if e.get("unit", "") in TIME_UNITS:
-                times[e["name"]] = float(e["value"])
+                records.append((e["name"], float(e["value"]), None))
     else:
         sys.exit(f"error: {path} is not a recognized bench JSON artifact")
+    times = {n: v for n, (v, _) in median_by_name(records).items()}
     if not times:
         sys.exit(f"error: {path} contains no timed entries")
     return times

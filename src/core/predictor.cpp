@@ -1,11 +1,11 @@
 #include "core/predictor.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
 
 #include "gnn/graph_batch.h"
-#include "support/arena.h"
 #include "support/parallel.h"
 #include "train/feature_cache.h"
 
@@ -63,6 +63,51 @@ BatchPlan classifier_plan(const std::vector<Sample>& samples,
                            train_idx));
 }
 
+/// Runs `trainer` over `plan` with per-epoch validation and applies the
+/// FitOptions validation policy — the best-epoch selection every validated
+/// fit shares. `validate` scores the model after each epoch; the best score
+/// (higher or lower wins per `higher_is_better`) is tracked, and kBestEpoch
+/// snapshots the parameters and Adam moments at that epoch and restores
+/// them at the end. `adam_state` receives the selected optimizer moments
+/// (the final ones when nothing is restored) for later warm starts.
+FitReport fit_with_epoch_selection(Module& model, BatchPlan& plan,
+                                   Trainer& trainer, const FitOptions& opts,
+                                   bool higher_is_better,
+                                   const std::function<double()>& validate,
+                                   std::optional<AdamState>& adam_state) {
+  FitReport report;
+  std::vector<Matrix> best_params;
+  AdamState best_opt;
+  const bool select_best =
+      opts.validation == FitOptions::Validation::kBestEpoch;
+  const FitReport run = trainer.fit(plan, opts, [&](int epoch) {
+    const double val = validate();
+    report.val_curve.push_back(val);
+    const bool better =
+        higher_is_better ? val > report.best_val : val < report.best_val;
+    if (report.best_epoch < 0 || better) {
+      report.best_val = val;
+      report.best_epoch = epoch;
+      if (select_best) {
+        // Snapshot both halves of the checkpoint: a later warm start must
+        // resume from the SELECTED model, weights and moments together.
+        best_params = snapshot_parameters(model);
+        best_opt = trainer.export_optimizer_state();
+      }
+    }
+  });
+  report.epochs_run = run.epochs_run;
+  report.steps = run.steps;
+  report.warm_started = run.warm_started;
+  if (select_best && !best_params.empty()) {
+    restore_parameters(model, best_params);
+    adam_state = std::move(best_opt);
+  } else {
+    adam_state = trainer.export_optimizer_state();
+  }
+  return report;
+}
+
 }  // namespace
 
 std::vector<Matrix> snapshot_parameters(const Module& m) {
@@ -114,42 +159,17 @@ void QorPredictor::fit_classifier(const std::vector<Sample>& samples,
   BatchPlan plan = classifier_plan(samples, train_idx, tc);
   Trainer trainer(*classifier_, tc, classifier_hooks(*classifier_),
                   seed * 17 + 3);
-  trainer.fit(plan, nullptr);  // -I keeps the last classifier epoch
+  // -I keeps the last classifier epoch (no validation-driven selection).
+  trainer.fit(plan, FitOptions{}, nullptr);
 }
 
 FitReport QorPredictor::train_regressor(BatchPlan& plan, Trainer& trainer,
                                         const FitOptions& opts) {
-  FitReport report;
-  std::vector<Matrix> best_params;
-  AdamState best_opt;
-  const bool select_best =
-      opts.validation == FitOptions::Validation::kBestEpoch;
-  const FitReport run = trainer.fit(plan, opts, [&](int epoch) {
-    // Validation model selection. NOTE: -I validates through the full
-    // hierarchical path (classifier bits), matching deployment.
-    const double val = evaluate_mape(corpus_, split_.val);
-    report.val_curve.push_back(val);
-    if (report.best_epoch < 0 || val < report.best_val) {
-      report.best_val = val;
-      report.best_epoch = epoch;
-      if (select_best) {
-        // Snapshot both halves of the checkpoint: a later warm start must
-        // resume from the SELECTED model, weights and moments together.
-        best_params = snapshot_parameters(*regressor_);
-        best_opt = trainer.export_optimizer_state();
-      }
-    }
-  });
-  report.epochs_run = run.epochs_run;
-  report.steps = run.steps;
-  report.warm_started = run.warm_started;
-  if (select_best && !best_params.empty()) {
-    restore_parameters(*regressor_, best_params);
-    adam_state_ = std::move(best_opt);
-  } else {
-    adam_state_ = trainer.export_optimizer_state();
-  }
-  return report;
+  // Lower validation MAPE wins. NOTE: -I validates through the full
+  // hierarchical path (classifier bits), matching deployment.
+  return fit_with_epoch_selection(
+      *regressor_, plan, trainer, opts, /*higher_is_better=*/false,
+      [this] { return evaluate_mape(corpus_, split_.val); }, adam_state_);
 }
 
 FitReport QorPredictor::fit(const std::vector<Sample>& samples,
@@ -210,11 +230,6 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
                   seed * 17 + 2);
   if (warm && adam_state_) trainer.import_optimizer_state(*adam_state_);
   return train_regressor(plan, trainer, opts);
-}
-
-double QorPredictor::fit(const std::vector<Sample>& samples,
-                         const SplitIndices& split, Metric metric) {
-  return fit(samples, split, metric, FitOptions{}).best_val;
 }
 
 FitOptions QorPredictor::refit_defaults() {
@@ -396,9 +411,6 @@ double QorPredictor::evaluate_mape(const std::vector<Sample>& samples,
     }
     pred.assign(idx.size(), 0.0);
     parallel_shards(plan.num_batches(), [&](int b) {
-      // Per-chunk tape temporaries live in this worker's scratch arena.
-      const ArenaScope scratch(train_cfg_.arena ? &thread_scratch_arena()
-                                                : nullptr);
       const BatchPlan::Item& item = plan.item(b);
       const std::vector<float> encoded =
           regressor_->predict_batch(item.batch().merged, item.features());
@@ -436,40 +448,14 @@ FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
   Trainer trainer(*classifier_, tc, classifier_hooks(*classifier_),
                   seed * 17 + 3);
   if (warm && adam_state_) trainer.import_optimizer_state(*adam_state_);
-
-  FitReport report;
-  std::vector<Matrix> best_params;
-  AdamState best_opt;
-  const bool select_best =
-      opts.validation == FitOptions::Validation::kBestEpoch;
-  const FitReport run = trainer.fit(plan, opts, [&](int epoch) {
-    const NodeClassifierScores val = evaluate(samples, split.val);
-    const double mean_acc = (val.dsp + val.lut + val.ff) / 3.0;
-    report.val_curve.push_back(mean_acc);
-    if (report.best_epoch < 0 || mean_acc > report.best_val) {
-      report.best_val = mean_acc;
-      report.best_epoch = epoch;
-      if (select_best) {
-        best_params = snapshot_parameters(*classifier_);
-        best_opt = trainer.export_optimizer_state();
-      }
-    }
-  });
-  report.epochs_run = run.epochs_run;
-  report.steps = run.steps;
-  report.warm_started = run.warm_started;
-  if (select_best && !best_params.empty()) {
-    restore_parameters(*classifier_, best_params);
-    adam_state_ = std::move(best_opt);
-  } else {
-    adam_state_ = trainer.export_optimizer_state();
-  }
-  return report;
-}
-
-double NodeTypePredictor::fit(const std::vector<Sample>& samples,
-                              const SplitIndices& split) {
-  return fit(samples, split, FitOptions{}).best_val;
+  // Higher validation mean accuracy wins.
+  return fit_with_epoch_selection(
+      *classifier_, plan, trainer, opts, /*higher_is_better=*/true,
+      [&] {
+        const NodeClassifierScores val = evaluate(samples, split.val);
+        return (val.dsp + val.lut + val.ff) / 3.0;
+      },
+      adam_state_);
 }
 
 NodeClassifierScores NodeTypePredictor::evaluate(

@@ -63,11 +63,6 @@ class QorPredictor {
   FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
                 Metric metric, const FitOptions& opts);
 
-  /// Deprecated shim (pre-FitOptions signature): fresh fit, full epoch
-  /// budget, best-epoch selection. Returns the best validation MAPE.
-  double fit(const std::vector<Sample>& samples, const SplitIndices& split,
-             Metric metric);
-
   /// Online refit: appends `new_samples` (ground truth gathered since the
   /// last fit/refit, e.g. a DSE round's HLS results) to the retained corpus
   /// as a fresh training segment and continues training. With
@@ -182,10 +177,6 @@ class NodeTypePredictor {
   /// better). FitReport::val_curve carries the per-epoch mean accuracy.
   FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
                 const FitOptions& opts);
-
-  /// Deprecated shim (pre-FitOptions signature): fresh fit, full budget,
-  /// best-epoch selection. Returns best validation mean accuracy.
-  double fit(const std::vector<Sample>& samples, const SplitIndices& split);
 
   NodeClassifierScores evaluate(const std::vector<Sample>& samples,
                                 const std::vector<int>& idx) const;

@@ -7,18 +7,12 @@
 
 #include "hls/hls_flow.h"
 #include "obs/trace.h"
-#include "support/arena.h"
 #include "support/check.h"
 #include "support/parallel.h"
 
 namespace gnnhls {
 
 // ----- model table -----
-
-ModelTable::ModelTable(
-    const std::vector<std::pair<Metric, const QorPredictor*>>& models) {
-  for (const auto& [metric, predictor] : models) add(metric, predictor);
-}
 
 void ModelTable::add(Metric metric, const QorPredictor* model) {
   GNNHLS_CHECK(model != nullptr, "ModelTable: null model");
@@ -127,7 +121,13 @@ PredictorScorer::PredictorScorer(ModelTable table)
 
 PredictorScorer::PredictorScorer(
     const std::vector<std::pair<Metric, const QorPredictor*>>& models)
-    : ModelScorerBase(ModelTable(models)) {}
+    : ModelScorerBase([&] {
+        ModelTable table;
+        for (const auto& [metric, predictor] : models) {
+          table.add(metric, predictor);
+        }
+        return table;
+      }()) {}
 
 std::vector<double> PredictorScorer::member_predictions(
     int /*flat_id*/, const QorPredictor& model,
@@ -140,11 +140,6 @@ ServingScorer::ServingScorer(ModelTable table, SchedulerConfig cfg)
   std::vector<const QorPredictor*> predictors = this->table().flat();
   sched_ = std::make_unique<ServingScheduler>(std::move(predictors), cfg);
 }
-
-ServingScorer::ServingScorer(
-    const std::vector<std::pair<Metric, const QorPredictor*>>& models,
-    SchedulerConfig cfg)
-    : ServingScorer(ModelTable(models), cfg) {}
 
 std::vector<double> ServingScorer::member_predictions(
     int flat_id, const QorPredictor& /*model*/,
@@ -203,14 +198,7 @@ void Explorer::score_round(std::vector<DseCandidate>& candidates,
     samples.push_back(&candidates[static_cast<std::size_t>(i)].sample);
   }
   for (Metric m : metrics) {
-    std::vector<ScoreResult> pred;
-    {
-      // One scoring call's tape temporaries per arena reset; the results
-      // use std::allocator and survive the scope.
-      const ArenaScope scratch(cfg_.arena ? &thread_scratch_arena()
-                                          : nullptr);
-      pred = scorer_.score(m, samples);
-    }
+    const std::vector<ScoreResult> pred = scorer_.score(m, samples);
     GNNHLS_CHECK_EQ(pred.size(), subset.size(), "scorer output size");
     for (std::size_t j = 0; j < subset.size(); ++j) {
       DseCandidate& c = candidates[static_cast<std::size_t>(subset[j])];

@@ -107,9 +107,6 @@ struct DseResult {
 class ModelTable {
  public:
   ModelTable() = default;
-  /// Compat constructor: one single-model entry per (metric, predictor).
-  explicit ModelTable(
-      const std::vector<std::pair<Metric, const QorPredictor*>>& models);
 
   /// Registers a single predictor (one member) for `metric`.
   void add(Metric metric, const QorPredictor* model);
@@ -184,7 +181,8 @@ class ModelScorerBase : public Scorer {
 class PredictorScorer : public ModelScorerBase {
  public:
   explicit PredictorScorer(ModelTable table);
-  /// Compat constructor (pre-ModelTable signature).
+  /// One-model-per-metric convenience form: each (metric, predictor) pair
+  /// becomes a single-member ModelTable entry, in order.
   explicit PredictorScorer(
       const std::vector<std::pair<Metric, const QorPredictor*>>& models);
 
@@ -206,14 +204,10 @@ class PredictorScorer : public ModelScorerBase {
 /// serve/scheduler.h).
 class ServingScorer : public ModelScorerBase {
  public:
-  /// `cfg.workers`/`max_batch`/`batch_window_us`/`adaptive_window`/`arena`
+  /// `cfg.workers`/`max_batch`/`batch_window_us`/`adaptive_window`
   /// apply to the shared scheduler; admission knobs (max_queue, deadlines)
   /// are left off — DSE scoring must answer every sample.
   explicit ServingScorer(ModelTable table, SchedulerConfig cfg = {});
-  /// Compat constructor (pre-ModelTable signature).
-  explicit ServingScorer(
-      const std::vector<std::pair<Metric, const QorPredictor*>>& models,
-      SchedulerConfig cfg = {});
 
   /// Scheduler counters (per_model_completed is in table().flat() order).
   SchedStats serving_stats() const { return sched_->stats(); }
@@ -258,12 +252,6 @@ struct DseConfig {
   int top_k = 4;
   /// Model-in-the-loop knobs (active_halving only).
   ActiveConfig active;
-  /// Back each scoring round's forward temporaries with the exploring
-  /// thread's scratch arena, reset per batched scorer call
-  /// (support/arena.h). Covers the PredictorScorer path (which runs the
-  /// forward inline); the ServingScorer's worker manages its own arena via
-  /// ServeConfig::arena. Execution-only: results are unchanged.
-  bool arena = false;
   /// Observability knobs (obs/obs_config.h): obs.trace emits
   /// halving_round / score_round / synthesize spans when the process-wide
   /// TraceCollector is active. Execution-only: DseResult is unchanged.

@@ -7,7 +7,6 @@
 #include "gnn/mp_executor.h"
 #include "obs/trace.h"
 #include "serve/status_names.h"
-#include "support/arena.h"
 #include "support/check.h"
 
 namespace gnnhls {
@@ -381,9 +380,6 @@ void ServingScheduler::run_batch(std::vector<Entry>& batch,
   const std::uint64_t fused_before = thread_fused_fallbacks();
   try {
     const ObsSpan forward_span(trace_on(), "forward", "serve");
-    // One forward's worth of tape temporaries per arena reset; the returned
-    // doubles use std::allocator and survive the scope.
-    const ArenaScope scratch(cfg_.arena ? &thread_scratch_arena() : nullptr);
     pred = models_[static_cast<std::size_t>(model)]->predict_many(parts);
   } catch (...) {
     error = std::current_exception();

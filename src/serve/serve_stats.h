@@ -34,11 +34,9 @@ struct ServeStats {
   std::uint64_t flush_drain = 0;
   /// Largest micro-batch served so far (<= configured max_batch).
   int max_batch_seen = 0;
-  /// ArenaAllocator heap-path allocations made by batch forwards (the
-  /// thread_matrix_heap_allocs() delta across each forward, summed). With
-  /// arena=true this should read ~0 in steady state — a nonzero drift means
-  /// tape temporaries are escaping the scratch arena, silently re-paying
-  /// the allocator churn the arena exists to remove.
+  /// Matrix storage allocations made by batch forwards (the
+  /// thread_matrix_heap_allocs() delta across each forward, summed) — the
+  /// allocator traffic one served batch pays.
   std::uint64_t heap_allocs = 0;
   /// Fused-executor fallbacks taken by batch forwards (the
   /// thread_fused_fallbacks() delta across each forward, summed). With

@@ -13,7 +13,6 @@ SchedulerConfig ServingBatcher::to_scheduler_config(const ServeConfig& cfg) {
   // a lone request still waits the full configured window (serve_test
   // asserts the exact flush-reason sequence).
   sc.adaptive_window = false;
-  sc.arena = cfg.arena;
   sc.record_latencies = cfg.record_latencies;
   sc.obs = cfg.obs;
   return sc;

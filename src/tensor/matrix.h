@@ -6,13 +6,58 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "support/arena.h"
 #include "support/check.h"
 #include "support/rng.h"
 
 namespace gnnhls {
+
+namespace matrix_detail {
+
+/// Running tally of Matrix storage allocations on this thread.
+inline thread_local std::uint64_t thread_heap_alloc_count = 0;
+
+/// Stateless std::allocator wrapper that bumps the thread's tally on every
+/// allocation — the only difference from a plain std::vector<float>.
+template <typename T>
+struct CountingAllocator {
+  using value_type = T;
+
+  CountingAllocator() = default;
+  template <typename U>
+  CountingAllocator(const CountingAllocator<U>&) {}  // NOLINT(runtime/explicit)
+
+  T* allocate(std::size_t n) {
+    ++thread_heap_alloc_count;
+    return std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    std::allocator<T>().deallocate(p, n);
+  }
+};
+
+template <typename T, typename U>
+inline bool operator==(const CountingAllocator<T>&,
+                       const CountingAllocator<U>&) {
+  return true;
+}
+template <typename T, typename U>
+inline bool operator!=(const CountingAllocator<T>&,
+                       const CountingAllocator<U>&) {
+  return false;
+}
+
+}  // namespace matrix_detail
+
+/// Matrix storage allocations made on this thread so far. Sample
+/// before/after a region to count its allocator traffic (the serving
+/// scheduler's SchedStats::heap_allocs, bench_micro's heap_allocs counter).
+inline std::uint64_t thread_matrix_heap_allocs() {
+  return matrix_detail::thread_heap_alloc_count;
+}
 
 class Matrix {
  public:
@@ -74,10 +119,8 @@ class Matrix {
  private:
   int rows_ = 0;
   int cols_ = 0;
-  /// Element storage is arena-aware: inside an ArenaScope new matrices bump-
-  /// allocate from the scope's arena (per-batch temporaries), everywhere else
-  /// they are plain heap vectors. See support/arena.h for the lifetime rules.
-  std::vector<float, ArenaAllocator<float>> data_;
+  /// Heap storage; the allocator only counts (thread_matrix_heap_allocs).
+  std::vector<float, matrix_detail::CountingAllocator<float>> data_;
 };
 
 /// Opt-in allocator tuning for tensor-churn workloads (training loops):

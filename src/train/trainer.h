@@ -65,13 +65,6 @@ struct TrainConfig {
   /// clamped to the step's batch count. Ignored by the legacy
   /// batch_size<=1 path, which is defined as a serial trajectory.
   int shards = 1;
-  /// Back per-batch tape temporaries (activations, adjoints, kernel scratch)
-  /// with each worker thread's bump-pointer scratch arena, reset at every
-  /// batch boundary (see support/arena.h). Execution-only: allocation
-  /// placement never changes a computed value. Batched mode only — the
-  /// legacy batch_size<=1 path accumulates parameter gradients across tapes
-  /// and is left on the heap.
-  bool arena = false;
   std::uint64_t seed = 1;
   /// Observability knobs (obs/obs_config.h): obs.trace emits epoch/shard
   /// spans into the process-wide TraceCollector when it is active.
@@ -125,10 +118,6 @@ class Trainer {
   /// import_optimizer_state(), both the owner's job.
   FitReport fit(BatchPlan& plan, const FitOptions& opts,
                 const std::function<void(int)>& on_epoch_end);
-
-  /// Deprecated shim (pre-FitOptions signature): full TrainConfig budget,
-  /// fresh optimizer. Returns the number of optimizer steps taken.
-  long fit(BatchPlan& plan, const std::function<void(int)>& on_epoch_end);
 
   /// Resumes the optimizer from a snapshot (same model architecture) so the
   /// next fit() continues the Adam trajectory instead of restarting the

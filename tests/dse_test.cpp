@@ -177,11 +177,18 @@ const Trained& trained_predictors() {
     const TrainSetup& s = train_setup();
     auto* t = new Trained{QorPredictor(Approach::kOffTheShelf, s.mc, s.tc),
                           QorPredictor(Approach::kOffTheShelf, s.mc, s.tc)};
-    t->lut.fit(s.corpus, s.split, Metric::kLut);
-    t->ff.fit(s.corpus, s.split, Metric::kFf);
+    t->lut.fit(s.corpus, s.split, Metric::kLut, FitOptions{});
+    t->ff.fit(s.corpus, s.split, Metric::kFf, FitOptions{});
     return t;
   }();
   return *trained;
+}
+
+ModelTable lut_ff_table(const QorPredictor& lut, const QorPredictor& ff) {
+  ModelTable table;
+  table.add(Metric::kLut, &lut);
+  table.add(Metric::kFf, &ff);
+  return table;
 }
 
 PredictorScorer direct_scorer() {
@@ -277,8 +284,7 @@ TEST(ExplorerTest, ServingScorerBitIdenticalToDirect) {
   SchedulerConfig sc;
   sc.max_batch = 3;  // forces uneven micro-batch splits of the 4 candidates
   sc.batch_window_us = 0;
-  const ServingScorer serving(
-      {{Metric::kLut, &t.lut}, {Metric::kFf, &t.ff}}, sc);
+  const ServingScorer serving(lut_ff_table(t.lut, t.ff), sc);
   EXPECT_EQ(serving.metrics(), direct.metrics());
   const Explorer via_direct(space, direct);
   const Explorer via_serving(space, serving);
@@ -549,8 +555,7 @@ TEST(ExplorerTest, ActiveServingScorerBitIdenticalToDirect) {
   SchedulerConfig sc;
   sc.max_batch = 5;  // forces uneven micro-batch splits
   sc.batch_window_us = 0;
-  const ServingScorer serving(
-      {{Metric::kLut, &lut_serving}, {Metric::kFf, &t.ff}}, sc);
+  const ServingScorer serving(lut_ff_table(lut_serving, t.ff), sc);
   const Explorer via_direct(space, direct, cfg);
   const Explorer via_serving(space, serving, cfg);
   const DseResult a = via_direct.active_halving(lut_direct);

@@ -60,8 +60,8 @@ struct SchedFixture {
   SchedFixture()
       : lut(Approach::kOffTheShelf, model_cfg(), train_cfg()),
         ff(Approach::kOffTheShelf, model_cfg(), train_cfg()) {
-    lut.fit(samples, split, Metric::kLut);
-    ff.fit(samples, split, Metric::kFf);
+    lut.fit(samples, split, Metric::kLut, FitOptions{});
+    ff.fit(samples, split, Metric::kFf, FitOptions{});
   }
 };
 
@@ -350,6 +350,9 @@ TEST(SchedulerMultiModelTest, BatchesNeverMixModels) {
   const SchedStats st = sched.stats();
   EXPECT_EQ(st.completed, 12U);
   EXPECT_LE(st.max_batch_seen, 3);
+  // Every served forward builds Matrix temporaries, and the scheduler
+  // accumulates their allocation count (thread_matrix_heap_allocs deltas).
+  EXPECT_GT(st.heap_allocs, 0U);
 }
 
 // ----- drain and real-threaded paths -----
@@ -456,7 +459,7 @@ TEST_P(SchedulerKindTest, ScheduledBitIdenticalAcrossBatchCompositions) {
   TrainConfig tc = train_cfg();
   tc.epochs = 2;
   QorPredictor predictor(Approach::kOffTheShelf, model_cfg(GetParam()), tc);
-  predictor.fit(samples, split, Metric::kLut);
+  predictor.fit(samples, split, Metric::kLut, FitOptions{});
 
   std::vector<double> expect;
   for (const Sample& s : samples) expect.push_back(predictor.predict(s));

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +66,23 @@ TEST(MatrixTest, ShapeMismatchThrows) {
   EXPECT_THROW(matmul(a, b), std::invalid_argument);
   Matrix c(2, 2);
   EXPECT_THROW(c.add_inplace(a), std::invalid_argument);
+}
+
+TEST(MatrixTest, HeapAllocCounterCountsStoragePerThread) {
+  const std::uint64_t before = thread_matrix_heap_allocs();
+  const Matrix empty;
+  EXPECT_EQ(thread_matrix_heap_allocs(), before);  // no storage, no count
+  const Matrix a(3, 4);
+  EXPECT_EQ(thread_matrix_heap_allocs(), before + 1);
+  const Matrix copy = a;
+  EXPECT_EQ(thread_matrix_heap_allocs(), before + 2);
+  Matrix source(2, 2);
+  const Matrix moved = std::move(source);  // a move reuses the storage
+  EXPECT_EQ(thread_matrix_heap_allocs(), before + 3);
+  // The tally is thread-local: another thread's allocations never show here.
+  std::thread([] { const Matrix other(5, 5); }).join();
+  EXPECT_EQ(thread_matrix_heap_allocs(), before + 3);
+  EXPECT_TRUE(copy == a && moved.size() == 4U && empty.empty());
 }
 
 // ----- forward values -----

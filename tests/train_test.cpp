@@ -54,13 +54,15 @@ TEST(ShardedTrainingTest, RegressorShardsAreBitIdentical) {
 
   tc.shards = 1;
   QorPredictor serial(Approach::kOffTheShelf, mc, tc);
-  const double serial_val = serial.fit(samples, split, Metric::kLut);
+  const double serial_val =
+      serial.fit(samples, split, Metric::kLut, FitOptions{}).best_val;
   const std::vector<Matrix> serial_params =
       snapshot_parameters(serial.regressor());
 
   tc.shards = 4;
   QorPredictor sharded(Approach::kOffTheShelf, mc, tc);
-  const double sharded_val = sharded.fit(samples, split, Metric::kLut);
+  const double sharded_val =
+      sharded.fit(samples, split, Metric::kLut, FitOptions{}).best_val;
   const std::vector<Matrix> sharded_params =
       snapshot_parameters(sharded.regressor());
 
@@ -94,11 +96,12 @@ TEST(ShardedTrainingTest, ClassifierShardsAreBitIdentical) {
 
   tc.shards = 1;
   NodeTypePredictor serial(mc, tc);
-  const double serial_acc = serial.fit(samples, split);
+  const double serial_acc = serial.fit(samples, split, FitOptions{}).best_val;
 
   tc.shards = 3;
   NodeTypePredictor sharded(mc, tc);
-  const double sharded_acc = sharded.fit(samples, split);
+  const double sharded_acc =
+      sharded.fit(samples, split, FitOptions{}).best_val;
 
   EXPECT_EQ(serial_acc, sharded_acc);
   const auto a = snapshot_parameters(serial.classifier());
@@ -123,8 +126,9 @@ TEST(ShardedTrainingTest, ShardCountBeyondBatchesIsClamped) {
   tc.grad_accum = 8;  // step span larger than the epoch's batch count
   tc.shards = 64;     // far more shards than batches
   QorPredictor predictor(Approach::kOffTheShelf, mc, tc);
-  const double val = predictor.fit(samples, split, Metric::kLut);
-  EXPECT_TRUE(std::isfinite(val));
+  const FitReport report =
+      predictor.fit(samples, split, Metric::kLut, FitOptions{});
+  EXPECT_TRUE(std::isfinite(report.best_val));
 }
 
 // ----- FitOptions / online refit -----
@@ -157,9 +161,6 @@ TEST(RefitTest, FitReportCurveAndBestEpoch) {
   // kBestEpoch restored the selected checkpoint: deployed validation MAPE
   // is the best epoch's, not the final one's.
   EXPECT_EQ(p.evaluate_mape(samples, split.val), report.best_val);
-  // The deprecated double-returning shim reports the same selection.
-  QorPredictor shim(Approach::kOffTheShelf, mc, tc);
-  EXPECT_EQ(shim.fit(samples, split, Metric::kLut), report.best_val);
 }
 
 TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
@@ -272,7 +273,7 @@ TEST(RefitTest, RefitBeforeFitThrows) {
   EXPECT_THROW(p.refit(small_corpus(2, 1)), std::invalid_argument);
 }
 
-TEST(RefitTest, ClassifierFitOptionsReportMatchesShim) {
+TEST(RefitTest, ClassifierFitReportSelectsHighestAccuracy) {
   const auto samples = small_corpus(24, 2222);
   const SplitIndices split =
       split_80_10_10(static_cast<int>(samples.size()), 6);
@@ -288,8 +289,13 @@ TEST(RefitTest, ClassifierFitOptionsReportMatchesShim) {
   const FitReport report = a.fit(samples, split, FitOptions{});
   EXPECT_EQ(report.epochs_run, tc.epochs);
   ASSERT_EQ(report.val_curve.size(), static_cast<std::size_t>(tc.epochs));
-  NodeTypePredictor b(mc, tc);
-  EXPECT_EQ(b.fit(samples, split), report.best_val);
+  // Classifier selection runs the other direction: higher accuracy wins.
+  ASSERT_GE(report.best_epoch, 0);
+  EXPECT_EQ(report.best_val,
+            *std::max_element(report.val_curve.begin(),
+                              report.val_curve.end()));
+  EXPECT_EQ(report.best_val,
+            report.val_curve[static_cast<std::size_t>(report.best_epoch)]);
 }
 
 // ----- BatchPlan rotation -----
