@@ -58,8 +58,7 @@ namespace {
 //
 // Aggregation itself lives in gnn/mp_executor.h: every encoder routes its
 // message passing through mp_aggregate_sum / mp_aggregate_mean /
-// mp_gcn_propagate / mp_relational_aggregate, which pick the fused or the
-// reference composition according to cfg_.fused (bit-identical either way).
+// mp_gcn_propagate / mp_relational_aggregate.
 
 // ----- GCN -----
 
@@ -94,8 +93,7 @@ class GcnEncoder : public GnnEncoder {
         h = t.add(h, t.broadcast_rows_by_segment(virt, gt.graph_id,
                                                  gt.graph_part));
       }
-      h = t.relu(
-          convs_[l]->forward(t, mp_gcn_propagate(t, gt, h, cfg_.fused)));
+      h = t.relu(convs_[l]->forward(t, mp_gcn_propagate(t, gt, h)));
       h = t.dropout(h, cfg_.dropout, rng, training);
       if (with_virtual_) {
         virt = t.relu(virtual_mlps_[l]->forward(
@@ -129,7 +127,7 @@ class SgcEncoder : public GnnEncoder {
              bool training) const override {
     Var h = x;
     for (int k = 0; k < cfg_.layers; ++k) {
-      h = mp_gcn_propagate(t, gt, h, cfg_.fused);
+      h = mp_gcn_propagate(t, gt, h);
     }
     h = linear_->forward(t, h);
     return t.dropout(h, cfg_.dropout, rng, training);
@@ -163,7 +161,7 @@ class SageEncoder : public GnnEncoder {
              bool training) const override {
     Var h = input_->forward(t, x);
     for (std::size_t l = 0; l < self_.size(); ++l) {
-      const Var neighbors = mp_aggregate_mean(t, gt, h, cfg_.fused);
+      const Var neighbors = mp_aggregate_mean(t, gt, h);
       h = t.relu(t.add(self_[l]->forward(t, h),
                        neigh_[l]->forward(t, neighbors)));
       h = t.dropout(h, cfg_.dropout, rng, training);
@@ -202,7 +200,7 @@ class ArmaEncoder : public GnnEncoder {
     for (std::size_t l = 0; l < prop_.size(); ++l) {
       // X^{t+1} = relu(L~ X^t W + X^0 V)
       h = t.relu(
-          t.add(prop_[l]->forward(t, mp_gcn_propagate(t, gt, h, cfg_.fused)),
+          t.add(prop_[l]->forward(t, mp_gcn_propagate(t, gt, h)),
                 skip_[l]->forward(t, x0)));
       h = t.dropout(h, cfg_.dropout, rng, training);
     }
@@ -256,7 +254,7 @@ class PanEncoder : public GnnEncoder {
         const Var term = t.mul_col_broadcast(power, scale_col);
         met = p == 0 ? term : t.add(met, term);
         if (p < kMaxPathLen) {
-          power = mp_aggregate_mean(t, gt, power, cfg_.fused);
+          power = mp_aggregate_mean(t, gt, power);
         }
       }
       h = t.relu(mix_[l]->forward(t, met));
@@ -311,7 +309,7 @@ class GinEncoder : public GnnEncoder {
       const Var one_eps =
           t.affine(t.repeat_row(eps_[l].var(), gt.num_nodes), 1.0F, 1.0F);
       const Var mixed = t.add(t.mul_col_broadcast(h, one_eps),
-                              mp_aggregate_sum(t, gt, h, cfg_.fused));
+                              mp_aggregate_sum(t, gt, h));
       h = t.relu(mlps_[l]->forward(t, mixed));
       h = t.dropout(h, cfg_.dropout, rng, training);
       if (with_virtual_) {
@@ -471,8 +469,7 @@ class GgnnEncoder : public GnnEncoder {
              bool training) const override {
     Var h = input_->forward(t, x);
     for (int l = 0; l < cfg_.layers; ++l) {
-      const Var msg = mp_relational_aggregate(t, gt, h, rel_, false,
-                                              cfg_.fused);
+      const Var msg = mp_relational_aggregate(t, gt, h, rel_, false);
       h = gru_->forward(t, msg, h);
       h = t.dropout(h, cfg_.dropout, rng, training);
     }
@@ -513,8 +510,7 @@ class RgcnEncoder : public GnnEncoder {
              bool training) const override {
     Var h = input_->forward(t, x);
     for (std::size_t l = 0; l < self_.size(); ++l) {
-      const Var agg = mp_relational_aggregate(t, gt, h, rel_[l], true,
-                                              cfg_.fused);
+      const Var agg = mp_relational_aggregate(t, gt, h, rel_[l], true);
       h = t.relu(t.add(self_[l]->forward(t, h), agg));
       h = t.dropout(h, cfg_.dropout, rng, training);
     }
@@ -552,7 +548,7 @@ class UnetEncoder : public GnnEncoder {
   Var encode(Tape& t, const GraphTensors& gt, const Var& x, Rng& rng,
              bool training) const override {
     Var h = input_->forward(t, x);
-    h = t.relu(down_->forward(t, mp_gcn_propagate(t, gt, h, cfg_.fused)));
+    h = t.relu(down_->forward(t, mp_gcn_propagate(t, gt, h)));
     const Var skip = h;
 
     // gPool: keep the top-k nodes by projection score, gate by sigmoid.
@@ -616,19 +612,10 @@ class UnetEncoder : public GnnEncoder {
           make_segment_partition(sub_src, keep);
       const SegmentPartitionPtr sub_dst_part =
           make_segment_partition(sub_dst, keep);
-      if (cfg_.fused) {
-        bottom = t.add(
-            t.scale_rows(
-                t.fused_gather_scatter_add(gated, sub_src, sub_dst, keep,
-                                           sub_src_part, sub_dst_part),
-                segment_inverse_counts(*sub_dst_part)),
-            gated);
-      } else {
-        bottom = t.add(
-            t.segment_mean(t.gather_rows(gated, sub_src, sub_src_part),
-                           sub_dst, keep, sub_dst_part),
-            gated);
-      }
+      bottom = t.add(
+          t.segment_mean(t.gather_rows(gated, sub_src, sub_src_part), sub_dst,
+                         keep, sub_dst_part),
+          gated);
     }
     bottom = t.relu(bottom_->forward(t, bottom));
     bottom = t.dropout(bottom, cfg_.dropout, rng, training);
@@ -637,7 +624,7 @@ class UnetEncoder : public GnnEncoder {
     const Var restored =
         t.scatter_add_rows(bottom, kept, gt.num_nodes, kept_part);
     Var out = t.add(restored, skip);
-    out = t.relu(up_->forward(t, mp_gcn_propagate(t, gt, out, cfg_.fused)));
+    out = t.relu(up_->forward(t, mp_gcn_propagate(t, gt, out)));
     return out;
   }
 

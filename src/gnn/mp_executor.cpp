@@ -2,75 +2,22 @@
 
 namespace gnnhls {
 
-namespace {
-
-bool have_edge_parts(const GraphTensors& gt) {
-  return gt.src_part != nullptr && gt.dst_part != nullptr;
-}
-
-}  // namespace
-
-std::vector<float> segment_inverse_counts(const SegmentPartition& part) {
-  std::vector<float> inv(static_cast<std::size_t>(part.segments));
-  for (int s = 0; s < part.segments; ++s) {
-    const int c = part.count(s);
-    inv[static_cast<std::size_t>(s)] =
-        c > 0 ? 1.0F / static_cast<float>(c) : 0.0F;
-  }
-  return inv;
-}
-
-Var mp_aggregate_sum(Tape& t, const GraphTensors& gt, const Var& x,
-                     bool fused) {
-  if (gt.src.empty()) {
-    if (fused) ++mp_detail::thread_fused_fallback_slot();
-    return t.affine(x, 0.0F, 0.0F);
-  }
-  if (fused && have_edge_parts(gt)) {
-    return t.fused_gather_scatter_add(x, gt.src, gt.dst, gt.num_nodes,
-                                      gt.src_part, gt.dst_part);
-  }
-  if (fused) ++mp_detail::thread_fused_fallback_slot();
+Var mp_aggregate_sum(Tape& t, const GraphTensors& gt, const Var& x) {
+  if (gt.src.empty()) return t.affine(x, 0.0F, 0.0F);
   return t.scatter_add_rows(t.gather_rows(x, gt.src, gt.src_part), gt.dst,
                             gt.num_nodes, gt.dst_part);
 }
 
-Var mp_aggregate_mean(Tape& t, const GraphTensors& gt, const Var& x,
-                      bool fused) {
-  if (gt.src.empty()) {
-    if (fused) ++mp_detail::thread_fused_fallback_slot();
-    return t.affine(x, 0.0F, 0.0F);
-  }
-  if (fused && have_edge_parts(gt)) {
-    // segment_mean = scatter_add then scale_rows(1/count); the fused node
-    // replaces the scatter_add half, the scale_rows half is unchanged (its
-    // coefficients come from the same cached partition counts).
-    return t.scale_rows(
-        t.fused_gather_scatter_add(x, gt.src, gt.dst, gt.num_nodes,
-                                   gt.src_part, gt.dst_part),
-        segment_inverse_counts(*gt.dst_part));
-  }
-  if (fused) ++mp_detail::thread_fused_fallback_slot();
+Var mp_aggregate_mean(Tape& t, const GraphTensors& gt, const Var& x) {
+  if (gt.src.empty()) return t.affine(x, 0.0F, 0.0F);
   return t.segment_mean(t.gather_rows(x, gt.src, gt.src_part), gt.dst,
                         gt.num_nodes, gt.dst_part);
 }
 
-Var mp_gcn_propagate(Tape& t, const GraphTensors& gt, const Var& x,
-                     bool fused) {
-  // The self term is created before the message chain in both strategies so
-  // the backward pass accumulates into x's sink in the same op order.
+Var mp_gcn_propagate(Tape& t, const GraphTensors& gt, const Var& x) {
+  // Self term first: fixes the order the backward accumulates into x's sink.
   Var self = t.scale_rows(x, gt.gcn_self_coeff);
-  if (gt.src.empty()) {
-    if (fused) ++mp_detail::thread_fused_fallback_slot();
-    return self;
-  }
-  if (fused && have_edge_parts(gt)) {
-    const Var msgs =
-        t.fused_gather_scatter_add(x, gt.src, gt.dst, gt.num_nodes,
-                                   gt.src_part, gt.dst_part, gt.gcn_coeff);
-    return t.add(msgs, self);
-  }
-  if (fused) ++mp_detail::thread_fused_fallback_slot();
+  if (gt.src.empty()) return self;
   const Var msgs =
       t.scale_rows(t.gather_rows(x, gt.src, gt.src_part), gt.gcn_coeff);
   return t.add(
@@ -79,8 +26,7 @@ Var mp_gcn_propagate(Tape& t, const GraphTensors& gt, const Var& x,
 
 Var mp_relational_aggregate(
     Tape& t, const GraphTensors& gt, const Var& h,
-    const std::vector<std::unique_ptr<Linear>>& rel_lins, bool mean_normalize,
-    bool fused) {
+    const std::vector<std::unique_ptr<Linear>>& rel_lins, bool mean_normalize) {
   const bool have_views = gt.relation_src.size() == gt.relation_edges.size() &&
                           gt.relation_dst.size() == gt.relation_edges.size();
   Var acc;
@@ -110,19 +56,10 @@ Var mp_relational_aggregate(
       dsts = &local_dst;
     }
     const Linear& lin = *rel_lins[r];
-    Var agg;
-    if (fused && sp != nullptr && dp != nullptr && !lin.has_bias()) {
-      const Var summed = t.fused_gather_matmul_scatter_add(
-          h, lin.weight(), *srcs, *dsts, gt.num_nodes, sp, dp);
-      agg = mean_normalize ? t.scale_rows(summed, segment_inverse_counts(*dp))
-                           : summed;
-    } else {
-      if (fused) ++mp_detail::thread_fused_fallback_slot();
-      const Var msgs = lin.forward(t, t.gather_rows(h, *srcs, sp));
-      agg = mean_normalize
-                ? t.segment_mean(msgs, *dsts, gt.num_nodes, dp)
-                : t.scatter_add_rows(msgs, *dsts, gt.num_nodes, dp);
-    }
+    const Var msgs = lin.forward(t, t.gather_rows(h, *srcs, sp));
+    const Var agg = mean_normalize
+                        ? t.segment_mean(msgs, *dsts, gt.num_nodes, dp)
+                        : t.scatter_add_rows(msgs, *dsts, gt.num_nodes, dp);
     acc = first ? agg : t.add(acc, agg);
     first = false;
   }

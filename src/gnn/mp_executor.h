@@ -1,25 +1,15 @@
 // Graph-level message-passing executor: the single entry point the encoder
 // zoo routes its aggregation steps through.
 //
-// Every function has two execution strategies selected by `fused`:
-//
-//   * fused=false — the reference composition of primitive tape ops
-//     (gather_rows -> [scale_rows | Linear] -> scatter_add / segment_mean),
-//     exactly the chain the encoders historically inlined.
-//   * fused=true — one Tape::fused_* node running the kernels in
-//     tensor/fused_mp.h over the partitions cached on GraphTensors, so the
-//     [E, hidden] message tensor never materializes in forward or backward.
-//
-// Both strategies produce bit-identical values and gradients at any
-// thread-pool width (see fused_mp.h for the rounding argument); `fused` is
-// an execution knob like TrainConfig::shards, never a semantics knob. The
-// fused strategy silently falls back to the reference composition when its
-// preconditions do not hold: missing cached partitions (hand-assembled
-// GraphTensors), an empty edge set, or a relation Linear with a bias (the
-// fused matmul path folds the weight only).
+// Every function is the composition of primitive tape ops
+// (gather_rows -> [scale_rows | Linear] -> scatter_add / segment_mean) over
+// the edge partitions cached on GraphTensors. The partitions only schedule
+// the reductions (fixed ascending-edge order per destination), so values and
+// gradients are bit-identical at any thread-pool width; hand-assembled
+// GraphTensors without cached partitions take the same ops unpartitioned and
+// produce the same values.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -28,51 +18,22 @@
 
 namespace gnnhls {
 
-namespace mp_detail {
-
-/// Running tally of fused-path requests that fell back to the reference
-/// composition on this thread (missing partitions, empty edge set, biased
-/// relation Linear). Diagnostics only; a plain thread_local increment.
-inline std::uint64_t& thread_fused_fallback_slot() {
-  thread_local std::uint64_t count = 0;
-  return count;
-}
-
-}  // namespace mp_detail
-
-/// Fused-executor fallbacks taken on this thread so far. Sample before/after
-/// a region (the serving scheduler does this per micro-batch forward) to see
-/// whether fused=true is actually running fused — a silent fallback is a
-/// perf regression, not an error, so it must be observable in stats.
-inline std::uint64_t thread_fused_fallbacks() {
-  return mp_detail::thread_fused_fallback_slot();
-}
-
 /// out_v = sum_{(u,v) in E} x_u. Empty edge set yields zeros (shape of x).
-Var mp_aggregate_sum(Tape& t, const GraphTensors& gt, const Var& x,
-                     bool fused);
+Var mp_aggregate_sum(Tape& t, const GraphTensors& gt, const Var& x);
 
 /// out_v = mean_{(u,v) in E} x_u; nodes without in-edges yield zeros.
-Var mp_aggregate_mean(Tape& t, const GraphTensors& gt, const Var& x,
-                      bool fused);
+Var mp_aggregate_mean(Tape& t, const GraphTensors& gt, const Var& x);
 
 /// GCN propagation D^-1/2 (A+I) D^-1/2 x with the precomputed gcn_coeff /
 /// gcn_self_coeff.
-Var mp_gcn_propagate(Tape& t, const GraphTensors& gt, const Var& x,
-                     bool fused);
+Var mp_gcn_propagate(Tape& t, const GraphTensors& gt, const Var& x);
 
 /// Per-relation transformed aggregation (RGCN mean_normalize=true, GGNN
 /// false): out_v += reduce_{(u,v) in E_r} W_r x_u over every non-empty
 /// relation, using the relation endpoint views/partitions cached on gt
-/// (rebuilt locally when absent). Relations whose Linear carries a bias run
-/// the reference composition even under fused=true.
+/// (rebuilt locally when absent).
 Var mp_relational_aggregate(
     Tape& t, const GraphTensors& gt, const Var& h,
-    const std::vector<std::unique_ptr<Linear>>& rel_lins, bool mean_normalize,
-    bool fused);
-
-/// Per-segment-count mean coefficients (1/count, 0 for empty segments) —
-/// the scale_rows vector segment_mean derives from a cached partition.
-std::vector<float> segment_inverse_counts(const SegmentPartition& part);
+    const std::vector<std::unique_ptr<Linear>>& rel_lins, bool mean_normalize);
 
 }  // namespace gnnhls

@@ -355,7 +355,6 @@ class ServingScheduler {
     Counter* flush_timeout;
     Counter* flush_drain;
     Counter* heap_allocs;
-    Counter* fused_fallbacks;
     Counter* latencies_dropped;
     Gauge* max_batch_seen;
     Gauge* queue_depth;

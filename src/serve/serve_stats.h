@@ -38,12 +38,6 @@ struct ServeStats {
   /// thread_matrix_heap_allocs() delta across each forward, summed) — the
   /// allocator traffic one served batch pays.
   std::uint64_t heap_allocs = 0;
-  /// Fused-executor fallbacks taken by batch forwards (the
-  /// thread_fused_fallbacks() delta across each forward, summed). With
-  /// fused=true this should read 0 for partition-cached graphs — a nonzero
-  /// count means the "fused" serving path is silently running the
-  /// reference composition (a perf regression stats must surface).
-  std::uint64_t fused_fallbacks = 0;
 
   /// Mean graphs per forward pass — the amortization the batcher exists to
   /// create (1.0 means every request paid a full forward on its own).
@@ -89,10 +83,9 @@ struct SchedStats {
   std::int64_t window_us = 0;
   std::uint64_t window_grows = 0;
   std::uint64_t window_shrinks = 0;
-  /// Per-forward thread_matrix_heap_allocs() / thread_fused_fallbacks()
-  /// deltas, summed (see ServeStats for why these must be observable).
+  /// Per-forward thread_matrix_heap_allocs() deltas, summed (see
+  /// ServeStats::heap_allocs).
   std::uint64_t heap_allocs = 0;
-  std::uint64_t fused_fallbacks = 0;
   /// Requests completed per registered model, in model-id order (the
   /// multi-model fairness observable).
   std::vector<std::uint64_t> per_model_completed;

@@ -52,7 +52,6 @@ ServeStats ServingBatcher::stats() const {
   out.flush_drain = s.flush_drain;
   out.max_batch_seen = s.max_batch_seen;
   out.heap_allocs = s.heap_allocs;
-  out.fused_fallbacks = s.fused_fallbacks;
   return out;
 }
 

@@ -7,6 +7,16 @@
 
 namespace gnnhls {
 
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument("--" + name + "=" + value + ": expected " +
+                              expected);
+}
+
+}  // namespace
+
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -28,14 +38,32 @@ int Flags::get_int(const std::string& name, int def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   consumed_[name] = true;
-  return std::stoi(it->second);
+  const std::string& v = it->second;
+  std::size_t used = 0;
+  int out = 0;
+  try {
+    out = std::stoi(v, &used);
+  } catch (const std::logic_error&) {
+    bad_value(name, v, "an integer");
+  }
+  if (used != v.size()) bad_value(name, v, "an integer");
+  return out;
 }
 
 double Flags::get_double(const std::string& name, double def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   consumed_[name] = true;
-  return std::stod(it->second);
+  const std::string& v = it->second;
+  std::size_t used = 0;
+  double out = 0.0;
+  try {
+    out = std::stod(v, &used);
+  } catch (const std::logic_error&) {
+    bad_value(name, v, "a number");
+  }
+  if (used != v.size()) bad_value(name, v, "a number");
+  return out;
 }
 
 std::string Flags::get_string(const std::string& name,
@@ -50,7 +78,10 @@ bool Flags::get_bool(const std::string& name, bool def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   consumed_[name] = true;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  bad_value(name, v, "one of true/1/yes/false/0/no");
 }
 
 bool Flags::has(const std::string& name) const {

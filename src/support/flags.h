@@ -19,6 +19,9 @@ class Flags {
   /// Parses argv; throws std::invalid_argument on malformed input.
   Flags(int argc, const char* const* argv);
 
+  /// Typed getters return `def` when the flag is absent. A present value
+  /// must parse whole — an integer, a number, or one of
+  /// true/1/yes/false/0/no — otherwise std::invalid_argument names the flag.
   int get_int(const std::string& name, int def) const;
   double get_double(const std::string& name, double def) const;
   std::string get_string(const std::string& name, const std::string& def) const;

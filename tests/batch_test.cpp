@@ -575,9 +575,12 @@ TEST(DeterministicKernelsTest, BlockedMatmulMatchesReference) {
   }
 }
 
-TEST(DeterministicKernelsTest, EncoderForwardBitIdenticalAcrossThreadCounts) {
-  // End-to-end: a full batched GCN forward (gathers, scatters, virtual-node
-  // segment means, readout) must not depend on the pool width.
+class DeterministicEncoderTest : public ::testing::TestWithParam<GnnKind> {};
+
+TEST_P(DeterministicEncoderTest, EncoderForwardBitIdenticalAcrossThreadCounts) {
+  // End-to-end: a full batched regressor forward (gathers, scatters,
+  // relation loops, pooling, readout) and its parameter gradients must not
+  // depend on the pool width, for every encoder kind.
   const auto samples = batch_samples();
   std::vector<const GraphTensors*> parts;
   std::vector<const Matrix*> fparts;
@@ -594,21 +597,46 @@ TEST(DeterministicKernelsTest, EncoderForwardBitIdenticalAcrossThreadCounts) {
   const Matrix stacked = GraphBatch::stack_features(fparts);
   Rng mrng(41);
   ModelConfig mc;
-  mc.kind = GnnKind::kGcnVirtual;
-  mc.hidden = 32;
+  mc.kind = GetParam();
+  mc.hidden = 16;
   mc.layers = 2;
-  const GraphRegressor model(mc, stacked.cols(), mrng);
-  std::vector<float> base;
+  GraphRegressor model(mc, stacked.cols(), mrng);
+  const Matrix target(batch.num_graphs(), 1, 2.0F);
+
+  Matrix base_pred;
+  std::vector<Matrix> base_grads;
   for (int threads : kKernelThreadCounts) {
     KernelPoolGuard pool(threads);
-    const std::vector<float> pred = model.predict_batch(batch.merged, stacked);
+    model.zero_grad();
+    Tape tape;
+    Rng drop(1);
+    const Var pred = model.forward(tape, batch.merged, stacked, drop, false);
+    tape.backward(tape.mse_loss(pred, target));
+    std::vector<Matrix> grads;
+    for (const auto* p : model.parameters()) grads.push_back(p->var().grad());
     if (threads == 1) {
-      base = pred;
-    } else {
-      EXPECT_EQ(pred, base) << "@ " << threads << " threads";
+      base_pred = pred.value();
+      base_grads = std::move(grads);
+      continue;
+    }
+    EXPECT_TRUE(pred.value() == base_pred) << "@ " << threads << " threads";
+    ASSERT_EQ(grads.size(), base_grads.size());
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      EXPECT_TRUE(grads[i] == base_grads[i])
+          << "parameter " << i << " @ " << threads << " threads";
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, DeterministicEncoderTest, ::testing::ValuesIn(all_gnn_kinds()),
+    [](const ::testing::TestParamInfo<GnnKind>& info) {
+      std::string name = gnn_kind_name(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(BatchedTrainingTest, HierarchicalPathTrainsBatched) {
   SyntheticDatasetConfig dcfg;

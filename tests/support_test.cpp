@@ -1,3 +1,6 @@
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "support/check.h"
@@ -79,6 +82,53 @@ TEST(FlagsTest, UnconsumedFlagDetected) {
 TEST(FlagsTest, RejectsNonFlagArgument) {
   const char* argv[] = {"prog", "positional"};
   EXPECT_THROW(Flags(2, argv), std::invalid_argument);
+}
+
+/// Expects `get` to throw std::invalid_argument whose message names `flag`.
+template <typename Get>
+void expect_rejects(Get get, const std::string& flag) {
+  try {
+    get();
+    ADD_FAILURE() << "expected --" << flag << " to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--" + flag), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FlagsTest, BoolAcceptsExactlySixSpellings) {
+  const char* argv[] = {"prog",      "--a=true", "--b=1", "--c=yes",
+                        "--d=false", "--e=0",    "--f=no"};
+  Flags flags(7, argv);
+  EXPECT_TRUE(flags.get_bool("a", false));
+  EXPECT_TRUE(flags.get_bool("b", false));
+  EXPECT_TRUE(flags.get_bool("c", false));
+  EXPECT_FALSE(flags.get_bool("d", true));
+  EXPECT_FALSE(flags.get_bool("e", true));
+  EXPECT_FALSE(flags.get_bool("f", true));
+  EXPECT_TRUE(flags.get_bool("missing", true));
+}
+
+TEST(FlagsTest, BoolRejectsOtherSpellings) {
+  const char* argv[] = {"prog", "--active=on", "--obs=True", "--x="};
+  Flags flags(4, argv);
+  expect_rejects([&] { flags.get_bool("active", false); }, "active");
+  expect_rejects([&] { flags.get_bool("obs", false); }, "obs");
+  expect_rejects([&] { flags.get_bool("x", false); }, "x");
+}
+
+TEST(FlagsTest, NumbersMustParseWhole) {
+  const char* argv[] = {"prog",       "--epochs=12x", "--runs=abc",
+                        "--seed=99999999999", "--lr=0.1.2", "--scale=",
+                        "--hidden=-3", "--rate=2e3"};
+  Flags flags(8, argv);
+  expect_rejects([&] { flags.get_int("epochs", 0); }, "epochs");
+  expect_rejects([&] { flags.get_int("runs", 0); }, "runs");
+  expect_rejects([&] { flags.get_int("seed", 0); }, "seed");
+  expect_rejects([&] { flags.get_double("lr", 0.0); }, "lr");
+  expect_rejects([&] { flags.get_double("scale", 0.0); }, "scale");
+  EXPECT_EQ(flags.get_int("hidden", 0), -3);
+  EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), 2000.0);
 }
 
 TEST(TableTest, RendersAlignedColumns) {

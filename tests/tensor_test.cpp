@@ -52,11 +52,11 @@ TEST(MatrixTest, TransposedMatmulsAgreeWithPlain) {
     for (int j = 0; j < 5; ++j) at(j, i) = a(i, j);
   }
   const Matrix direct = matmul(at, b);
-  const Matrix fused = matmul_transpose_a(a, b);
-  ASSERT_TRUE(direct.same_shape(fused));
+  const Matrix via_ta = matmul_transpose_a(a, b);
+  ASSERT_TRUE(direct.same_shape(via_ta));
   for (int i = 0; i < direct.rows(); ++i) {
     for (int j = 0; j < direct.cols(); ++j) {
-      EXPECT_NEAR(direct(i, j), fused(i, j), 1e-5);
+      EXPECT_NEAR(direct(i, j), via_ta(i, j), 1e-5);
     }
   }
 }
