@@ -42,7 +42,7 @@ struct BenchConfig {
   int threads = 0;     // 0 = hardware_concurrency
   int batch_size = 1;  // graphs per SGD step (1 = legacy accumulation loop)
   int grad_accum = 1;  // batches merged per Adam step (gives shards work)
-  // Serving knobs (bench_serving; see serve/serving_batcher.h ServeConfig).
+  // Serving knobs (bench_serving; see serve/scheduler.h SchedulerConfig).
   int max_batch = 8;            // graphs per serving forward pass
   int batch_window_us = 200;    // micro-batch collection window (int: the
                                 // flag parser is int-wide; ~35min max)
@@ -343,29 +343,6 @@ inline void print_header(const std::string& title, const BenchConfig& cfg) {
             << " seed=" << cfg.seed << "\n";
 }
 
-/// Records shape-of-result checks ("who wins, by roughly what factor") and
-/// prints a PASS/MISS summary. The table benches report only (paper-shape
-/// expectations legitimately MISS at smoke scale, so their main() ignores
-/// the results); a bench may gate its exit code on the subset of its checks
-/// that are hard invariants (bench_serving exits 1 on a bit-identity
-/// violation but keeps its load-dependent perf checks report-only).
-class ShapeChecks {
- public:
-  void check(const std::string& what, bool ok) {
-    std::cout << (ok ? "  [PASS] " : "  [MISS] ") << what << "\n";
-    ++total_;
-    if (ok) ++passed_;
-  }
-  void summary() const {
-    std::cout << "shape checks: " << passed_ << "/" << total_ << " passed\n";
-  }
-  bool all_passed() const { return passed_ == total_; }
-
- private:
-  int passed_ = 0;
-  int total_ = 0;
-};
-
 /// Machine-readable result log: the perf-trajectory half of every bench.
 /// Benches add one entry per measured number (same rows their TextTable
 /// prints) and write_bench_json emits a `BENCH_<name>.json` artifact that
@@ -410,6 +387,35 @@ class BenchJsonLog {
   }
 
   std::vector<Entry> entries_;
+};
+
+/// Records shape-of-result checks ("who wins, by roughly what factor") and
+/// prints a PASS/MISS summary. The table benches report only (paper-shape
+/// expectations legitimately MISS at smoke scale, so their main() ignores
+/// the results); a bench may gate its exit code on the subset of its checks
+/// that are hard invariants (bench_serving exits 1 on a bit-identity
+/// violation but keeps its load-dependent perf checks report-only).
+class ShapeChecks {
+ public:
+  void check(const std::string& what, bool ok) {
+    std::cout << (ok ? "  [PASS] " : "  [MISS] ") << what << "\n";
+    ++total_;
+    if (ok) ++passed_;
+  }
+  void summary() const {
+    std::cout << "shape checks: " << passed_ << "/" << total_ << " passed\n";
+  }
+  bool all_passed() const { return passed_ == total_; }
+  /// Adds the `shape checks passed` row (unit "checks") to a bench's JSON
+  /// log, so a drop in the paper reproduction shows up in bench_compare
+  /// like a perf regression.
+  void add_to(BenchJsonLog& log) const {
+    log.add("shape checks passed", passed_, "checks");
+  }
+
+ private:
+  int passed_ = 0;
+  int total_ = 0;
 };
 
 /// Writes the log to cfg.json_path (no-op when --json was not given).

@@ -14,20 +14,19 @@
 //     true top-1 survives the predictor-guided pruning, and whether the
 //     surviving front matches the exhaustive front;
 //   * exploration throughput — candidates/sec of a full successive-halving
-//     run, sweeping --threads (lowering + synthesis shards on the kernel
-//     pool) x --max-batch (micro-batch size of the serving-path scorer).
+//     run at pool width 1 and --threads (lowering + synthesis shards and
+//     the batched forwards on the kernel pool).
 //
 // With --active (and optionally --ensemble=K) the bench also runs the
 // model-in-the-loop arm: Explorer::active_halving refits the rank-metric
 // model on fed-back HLS ground truth mid-pruning, at successive halving's
 // EXACT synthesis budget. The arm is gated: equal hls_runs, post-refit
 // Spearman matches/beats the static model's, top-1 recovery no worse, and
-// the whole active trace bit-identical across scorer paths and thread
-// counts.
+// the whole active trace bit-identical across thread counts.
 //
-// Hard gates (exit 1): scoring through the ServingBatcher must be
-// bit-identical to direct predict_many (the serving contract), and
-// successive halving must respect its ground-truth budget. The
+// Hard gates (exit 1): every throughput row must reproduce the baseline
+// exploration bit-for-bit across pool widths, and successive halving must
+// respect its ground-truth budget. The
 // data-dependent quality checks (Spearman level, top-1 recovery, front
 // agreement) are report-only here — examples/design_space_exploration.cpp
 // gates front agreement at its fixed seed as the CI quality smoke.
@@ -35,7 +34,6 @@
 // --smoke shrinks everything to a CI-sized run (also used by the Release
 // bench-smoke job).
 #include <cstring>
-#include <memory>
 
 #include "bench_common.h"
 #include "core/ensemble.h"
@@ -47,14 +45,6 @@ namespace {
 struct TrainedModels {
   QorPredictor lut;
   QorPredictor ff;
-
-  /// One single-model entry per metric, LUT first.
-  ModelTable table() const {
-    ModelTable t;
-    t.add(Metric::kLut, &lut);
-    t.add(Metric::kFf, &ff);
-    return t;
-  }
 };
 
 TrainedModels train_models(const BenchConfig& cfg,
@@ -209,17 +199,6 @@ int run(int argc, const char* const* argv) {
   checks.check("Spearman(LUT) >= 0.7 at this scale",
                rank_quality(exh, Metric::kLut) >= 0.7);
 
-  // ----- serving-path bit-identity (hard gate) -----
-  SchedulerConfig sc;
-  sc.max_batch = cfg.max_batch;
-  sc.batch_window_us = cfg.batch_window_us;
-  const ServingScorer serving(models.table(), sc);
-  const Explorer served_explorer(space, serving, dse);
-  const bool serving_identical =
-      same_exploration(sh, served_explorer.successive_halving());
-  checks.check("shared-scheduler scoring bit-identical to predict_many",
-               serving_identical);
-
   BenchJsonLog json_log;
   for (Metric m : dse.front_metrics) {
     json_log.add(std::string("spearman ") + metric_name(m),
@@ -252,19 +231,14 @@ int run(int argc, const char* const* argv) {
     };
     // Each run fits its own rank model — refitting mutates it in place —
     // bitwise reproducing the same starting checkpoint at the fixed seed.
-    const auto run_active = [&](bool use_serving) {
+    const auto run_active = [&] {
       QorEnsemble model(Approach::kOffTheShelf, amc, atc, cfg.dse_ensemble);
       model.fit(corpus, split, Metric::kLut, FitOptions{});
       ModelTable table;
       table.add(Metric::kLut, &model);
       table.add(Metric::kFf, &models.ff);
-      std::unique_ptr<Scorer> scorer;
-      if (use_serving) {
-        scorer = std::make_unique<ServingScorer>(std::move(table), sc);
-      } else {
-        scorer = std::make_unique<PredictorScorer>(std::move(table));
-      }
-      const Explorer ex(space, *scorer, active_cfg);
+      const PredictorScorer scorer(std::move(table));
+      const Explorer ex(space, scorer, active_cfg);
       ActiveRun run;
       Timer t;
       run.result = ex.active_halving(model);
@@ -281,10 +255,9 @@ int run(int argc, const char* const* argv) {
       return run;
     };
 
-    const ActiveRun active = run_active(false);
-    const ActiveRun via_sched = run_active(true);
+    const ActiveRun active = run_active();
     ThreadPool::set_global_threads(cfg.threads);
-    const ActiveRun wide = run_active(false);
+    const ActiveRun wide = run_active();
     ThreadPool::set_global_threads(1);
 
     const DseResult& act = active.result;
@@ -316,8 +289,6 @@ int run(int argc, const char* const* argv) {
     const bool equal_budget = act.hls_runs == sh.hls_runs;
     const bool rho_ok = active.rho + 1e-9 >= static_rho;
     const bool top1_ok = sh.best != exh.best || act.best == exh.best;
-    const bool paths_ok = same_exploration(act, via_sched.result) &&
-                          active.rho == via_sched.rho;
     const bool widths_ok =
         same_exploration(act, wide.result) && active.rho == wide.rho;
     checks.check("active spends exactly the static halving budget",
@@ -325,66 +296,52 @@ int run(int argc, const char* const* argv) {
     checks.check("active Spearman(LUT) matches/beats static after refit",
                  rho_ok);
     checks.check("active top-1 recovery no worse than static", top1_ok);
-    checks.check("active trace bit-identical across scorer paths", paths_ok);
     checks.check("active trace bit-identical across thread counts",
                  widths_ok);
-    active_ok = equal_budget && rho_ok && top1_ok && paths_ok && widths_ok;
+    active_ok = equal_budget && rho_ok && top1_ok && widths_ok;
 
     json_log.add("active spearman LUT", active.rho, "rho");
     json_log.add("active halving",
                  static_cast<double>(n) / active.wall, "cand/s");
   }
 
-  // ----- exploration throughput: --threads x --max-batch -----
+  // ----- exploration throughput: pool width 1 and --threads -----
   std::cout << "\n-- exploration throughput (full successive-halving runs, "
                "candidates/sec) --\n";
   std::vector<int> thread_counts = {1};
   if (cfg.threads > 1) thread_counts.push_back(cfg.threads);
-  std::vector<int> batch_sizes = {1};
-  if (cfg.max_batch > 1) batch_sizes.push_back(cfg.max_batch);
-  TextTable throughput({"threads", "max-batch", "wall (s)", "cand/s"});
+  TextTable throughput({"threads", "wall (s)", "cand/s"});
   bool sweep_identical = true;
   for (int threads : thread_counts) {
     ThreadPool::set_global_threads(threads);
-    for (int max_batch : batch_sizes) {
-      SchedulerConfig row_sc;
-      row_sc.max_batch = max_batch;
-      row_sc.batch_window_us = cfg.batch_window_us;
-      const ServingScorer row_scorer(models.table(), row_sc);
-      const Explorer row_explorer(space, row_scorer, dse);
-      Timer t;
-      const DseResult r = row_explorer.successive_halving();
-      const double wall = t.seconds();
-      // Every row must reproduce the baseline exploration bit-for-bit —
-      // the sweep varies exactly the knobs (pool width, micro-batch size)
-      // the determinism contract says are value-neutral.
-      if (!same_exploration(sh, r)) sweep_identical = false;
-      throughput.add_row(
-          {std::to_string(threads), std::to_string(max_batch),
-           TextTable::num(wall, 3),
-           TextTable::num(static_cast<double>(n) / wall, 1)});
-      json_log.add("halving threads=" + std::to_string(threads) +
-                       " max-batch=" + std::to_string(max_batch),
-                   static_cast<double>(n) / wall, "cand/s");
-    }
+    const Explorer row_explorer(space, direct, dse);
+    Timer t;
+    const DseResult r = row_explorer.successive_halving();
+    const double wall = t.seconds();
+    // Every row must reproduce the baseline exploration bit-for-bit — pool
+    // width is value-neutral by the determinism contract.
+    if (!same_exploration(sh, r)) sweep_identical = false;
+    throughput.add_row({std::to_string(threads), TextTable::num(wall, 3),
+                        TextTable::num(static_cast<double>(n) / wall, 1)});
+    json_log.add("halving threads=" + std::to_string(threads),
+                 static_cast<double>(n) / wall, "cand/s");
   }
   ThreadPool::set_global_threads(1);  // bench harness convention
-  checks.check("sweep rows bit-identical across threads x max-batch",
-               sweep_identical);
+  checks.check("sweep rows bit-identical across threads", sweep_identical);
   std::cout << throughput.to_string() << "\n";
   write_bench_json(cfg, json_log, "dse");
 
   checks.summary();
-  const bool hard_ok = serving_identical && sweep_identical && active_ok &&
-                       (explicit_topk || budget_ok);
+  const bool hard_ok =
+      sweep_identical && active_ok && (explicit_topk || budget_ok);
   if (!hard_ok) {
-    std::cout << "FAIL: a hard DSE invariant (serving/sweep/active "
-                 "bit-identity, an active-arm quality gate, or the default "
-                 "ground-truth budget) was violated\n";
+    std::cout << "FAIL: a hard DSE invariant (sweep/active bit-identity, "
+                 "an active-arm quality gate, or the default ground-truth "
+                 "budget) was violated\n";
     return 1;
   }
-  std::cout << "hard invariants hold: served scoring bit-identical, "
-               "ground-truth budget respected"
+  std::cout << "hard invariants hold: scoring bit-identical across pool "
+               "widths, ground-truth budget respected"
             << (cfg.dse_active
                     ? ", active arm at parity budget with no quality "
                       "regression.\n"

@@ -2,7 +2,8 @@
 // knobs, plus an open-loop saturation sweep of the shared-queue scheduler.
 //
 // Part 1 (closed loop): fits one off-the-shelf RGCN predictor, then drives
-// a ServingBatcher with --clients submitter threads, each submitting
+// a single-model ServingScheduler (one worker, static window — the plain
+// micro-batcher) with --clients submitter threads, each submitting
 // --requests samples one at a time and blocking on the future (the DSE
 // searcher pattern: every thread holds exactly one in-flight candidate).
 // Expected shape: micro-batching (max-batch > 1) wins graphs/sec over the
@@ -14,12 +15,12 @@
 // 0.5x/1x/2x/4x of a base rate (--arrival-rate, default the measured
 // sequential capacity), scoring all four metrics round-robin with a
 // per-request deadline (--deadline-us). Two arms at equal thread budget:
-// one ServingBatcher per metric (the historical design: 4 worker threads,
-// no deadlines — every request is answered, eventually) vs ONE shared-queue
-// ServingScheduler carrying all 4 models (same number of workers,
-// deadline-aware shedding, adaptive windows). Reports p50/p99/p999 latency,
-// goodput (answers within deadline per second) and shed rate per rate
-// point. The expected shape — and the reason the scheduler exists — is
+// one single-model scheduler per metric (one worker and a static window
+// each: 4 worker threads, no deadlines — every request is answered,
+// eventually) vs ONE shared-queue ServingScheduler carrying all 4 models
+// (same number of workers, deadline-aware shedding, adaptive windows).
+// Reports p50/p99/p999 latency, goodput (answers within deadline per
+// second) and shed rate per rate point. The expected shape — and the reason the scheduler exists — is
 // that past saturation the batcher arm's goodput collapses (unbounded
 // queueing answers everything late) while the scheduler sheds expired
 // requests and keeps serving fresh ones inside their deadline.
@@ -50,7 +51,6 @@
 #include "dataset/serialize.h"
 #include "gnn/encoders.h"
 #include "serve/scheduler.h"
-#include "serve/serving_batcher.h"
 #include "serve/tcp_endpoint.h"
 #include "serve/wire.h"
 
@@ -62,9 +62,20 @@ struct LoadResult {
   double graphs_per_s = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
-  ServeStats stats;
+  SchedStats stats;
   bool bit_identical = true;
 };
+
+/// One model, one worker, a static window: the plain micro-batcher that
+/// the closed-loop rows and the per-metric open-loop arm run.
+SchedulerConfig single_model_config(int max_batch, std::int64_t window_us) {
+  SchedulerConfig sc;
+  sc.workers = 1;
+  sc.max_batch = max_batch;
+  sc.batch_window_us = window_us;
+  sc.adaptive_window = false;
+  return sc;
+}
 
 double percentile(std::vector<double>& v, double p) {
   if (v.empty()) return 0.0;
@@ -79,9 +90,9 @@ double percentile(std::vector<double>& v, double p) {
 LoadResult run_load(const QorPredictor& predictor,
                     const std::vector<Sample>& samples,
                     const std::vector<int>& idx,
-                    const std::vector<double>& expected, ServeConfig sc,
-                    int clients, int requests) {
-  ServingBatcher batcher(predictor, sc);
+                    const std::vector<double>& expected,
+                    const SchedulerConfig& sc, int clients, int requests) {
+  ServingScheduler sched({&predictor}, sc);
   std::vector<std::vector<double>> latencies(
       static_cast<std::size_t>(clients));
   std::atomic<int> mismatches{0};
@@ -97,7 +108,7 @@ LoadResult run_load(const QorPredictor& predictor,
             static_cast<std::size_t>(c * 131 + r * 7) % idx.size();
         const Sample& s = samples[static_cast<std::size_t>(idx[pick])];
         Timer t;
-        const double served = batcher.submit(s).get();
+        const double served = sched.submit(0, s).future.get();
         lat.push_back(t.seconds() * 1e6);
         if (served != expected[pick]) ++mismatches;
       }
@@ -106,7 +117,7 @@ LoadResult run_load(const QorPredictor& predictor,
   for (std::thread& t : threads) t.join();
   LoadResult res;
   res.wall_s = wall.seconds();
-  res.stats = batcher.stats();
+  res.stats = sched.stats();
   res.bit_identical = mismatches.load() == 0;
   const double total =
       static_cast<double>(clients) * static_cast<double>(requests);
@@ -181,27 +192,28 @@ double replay_arrivals(const std::vector<Arrival>& arrivals,
   return wall.seconds();  // submission time only; callers add drain time
 }
 
-/// Arm A: one ServingBatcher (worker thread) per metric, no deadlines —
-/// the pre-scheduler design. Every request is served; goodput counts the
-/// ones that happened to finish within `deadline_us`.
+/// Arm A: one single-model scheduler (one worker, static window) per
+/// metric, no deadlines. Every request is served; goodput counts the ones
+/// that happened to finish within `deadline_us`.
 OpenLoopResult run_open_loop_batchers(
     const std::vector<const QorPredictor*>& models,
     const std::vector<Sample>& samples, const std::vector<int>& idx,
     const std::vector<std::vector<double>>& expected,
-    const std::vector<Arrival>& arrivals, ServeConfig sc,
+    const std::vector<Arrival>& arrivals, SchedulerConfig sc,
     std::int64_t deadline_us) {
   sc.record_latencies = true;
-  std::vector<std::unique_ptr<ServingBatcher>> batchers;
+  std::vector<std::unique_ptr<ServingScheduler>> batchers;
   for (const QorPredictor* m : models) {
-    batchers.push_back(std::make_unique<ServingBatcher>(*m, sc));
+    batchers.push_back(
+        std::make_unique<ServingScheduler>(std::vector{m}, sc));
   }
   std::vector<std::pair<const Arrival*, std::future<double>>> futures;
   futures.reserve(arrivals.size());
   Timer wall;
   replay_arrivals(arrivals, [&](const Arrival& a) {
     const Sample& s = samples[static_cast<std::size_t>(idx[a.pick])];
-    futures.emplace_back(
-        &a, batchers[static_cast<std::size_t>(a.metric)]->submit(s));
+    ServingScheduler& b = *batchers[static_cast<std::size_t>(a.metric)];
+    futures.emplace_back(&a, b.submit(0, s).future);
   });
   for (auto& b : batchers) b->shutdown();  // drain: everything answered
   OpenLoopResult r;
@@ -489,14 +501,14 @@ int run(int argc, const char* const* argv) {
 
   struct Row {
     std::string name;
-    ServeConfig sc;
+    SchedulerConfig sc;
   };
-  const long w = cfg.batch_window_us;
+  const std::int64_t w = cfg.batch_window_us;
   const std::vector<Row> rows = {
-      {"max-batch=1 (no batching)", {1, 0}},
-      {"max-batch=N, window=0", {cfg.max_batch, 0}},
-      {"max-batch=N, window=W", {cfg.max_batch, w}},
-      {"max-batch=N, window=5W", {cfg.max_batch, 5 * w}},
+      {"max-batch=1 (no batching)", single_model_config(1, 0)},
+      {"max-batch=N, window=0", single_model_config(cfg.max_batch, 0)},
+      {"max-batch=N, window=W", single_model_config(cfg.max_batch, w)},
+      {"max-batch=N, window=5W", single_model_config(cfg.max_batch, 5 * w)},
   };
 
   TextTable table({"serving config", "graphs/s", "avg batch", "p50 us",
@@ -568,9 +580,8 @@ int run(int argc, const char* const* argv) {
             << kNumMetrics << " per-metric workers, scheduler arm: "
             << sched_workers << " shared workers\n";
 
-  ServeConfig batcher_sc;
-  batcher_sc.max_batch = cfg.max_batch;
-  batcher_sc.batch_window_us = cfg.batch_window_us;
+  SchedulerConfig batcher_sc =
+      single_model_config(cfg.max_batch, cfg.batch_window_us);
   batcher_sc.obs = obs_config(cfg);
   SchedulerConfig shared_sc;
   shared_sc.workers = sched_workers;

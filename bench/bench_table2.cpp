@@ -105,7 +105,6 @@ int run(int argc, const char* const* argv) {
     table.add_row(std::move(row));
   }
   std::cout << "\nMeasured (this substrate):\n" << table.to_string();
-  write_bench_json(cfg, json_log, "table2");
 
   TextTable ref({"model", "DFG DSP", "DFG LUT", "DFG FF", "DFG CP",
                  "CDFG DSP", "CDFG LUT", "CDFG FF", "CDFG CP"});
@@ -176,6 +175,8 @@ int run(int argc, const char* const* argv) {
                    metric_avg[3] <= metric_avg[1] &&
                    metric_avg[3] <= metric_avg[2]);
   checks.summary();
+  checks.add_to(json_log);
+  write_bench_json(cfg, json_log, "table2");
   std::cout << "best-to-worst overall:";
   for (const auto& [v, n] : ranking) std::cout << " " << n;
   std::cout << "\ntotal wall time: " << TextTable::num(total.seconds(), 1)

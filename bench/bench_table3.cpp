@@ -91,7 +91,6 @@ int run(int argc, const char* const* argv) {
     }
   }
   std::cout << "\nMeasured (this substrate):\n" << table.to_string();
-  write_bench_json(cfg, json_log, "table3");
 
   TextTable ref({"model", "DFG DSP", "DFG LUT", "DFG FF", "CDFG DSP",
                  "CDFG LUT", "CDFG FF", "Real DSP", "Real LUT", "Real FF"});
@@ -132,6 +131,8 @@ int run(int argc, const char* const* argv) {
   checks.check("RGCN is best or near-best on real-case generalization",
                rgcn_real >= best_other - 0.03);
   checks.summary();
+  checks.add_to(json_log);
+  write_bench_json(cfg, json_log, "table3");
   std::cout << "total wall time: " << TextTable::num(total.seconds(), 1)
             << "s\n";
   return 0;

@@ -93,7 +93,6 @@ int run(int argc, const char* const* argv) {
     }
   }
   std::cout << "\nMeasured (this substrate):\n" << table.to_string();
-  write_bench_json(cfg, json_log, "table4");
 
   TextTable ref({"model", "DFG DSP", "DFG LUT", "DFG FF", "DFG CP",
                  "CDFG DSP", "CDFG LUT", "CDFG FF", "CDFG CP"});
@@ -129,6 +128,8 @@ int run(int argc, const char* const* argv) {
                  avg[2] <= avg[1] + 0.01);
   }
   checks.summary();
+  checks.add_to(json_log);
+  write_bench_json(cfg, json_log, "table4");
   std::cout << "total wall time: " << TextTable::num(total.seconds(), 1)
             << "s\n";
   return 0;

@@ -9,7 +9,8 @@ Understands both artifact dialects the repo produces:
   * the bench_common BenchJsonLog format ({"bench": ..., "entries":
     [{name, value, unit}, ...]}): units ending in "/s" are higher-is-better,
     time units (ns/us/ms/s) lower-is-better, anything else (e.g. "rho"
-    rank-quality scores) is compared as an absolute quantity.
+    rank-quality scores, "checks" shape-check counts) is compared as an
+    absolute higher-is-better quantity.
 
 A regression is a shared entry that got worse by more than --threshold
 (default 0.15 = 15%). Entries present on only one side are reported but

@@ -20,8 +20,6 @@ void ModelTable::add(Metric metric, const QorPredictor* model) {
   Entry entry;
   entry.metric = metric;
   entry.members.push_back(model);
-  entry.flat_offset = static_cast<int>(flat_.size());
-  flat_.push_back(model);
   entries_.push_back(std::move(entry));
 }
 
@@ -30,10 +28,8 @@ void ModelTable::add(Metric metric, const QorEnsemble* ensemble) {
   GNNHLS_CHECK(find(metric) == nullptr, "ModelTable: duplicate metric entry");
   Entry entry;
   entry.metric = metric;
-  entry.flat_offset = static_cast<int>(flat_.size());
   for (int k = 0; k < ensemble->size(); ++k) {
     entry.members.push_back(&ensemble->member(k));
-    flat_.push_back(&ensemble->member(k));
   }
   entries_.push_back(std::move(entry));
 }
@@ -57,17 +53,6 @@ const std::vector<const QorPredictor*>& ModelTable::members(
   return e->members;
 }
 
-int ModelTable::flat_id(Metric metric, int k) const {
-  const Entry* e = find(metric);
-  if (e == nullptr) {
-    throw std::invalid_argument("ModelTable: no model for metric " +
-                                metric_name(metric));
-  }
-  GNNHLS_CHECK(k >= 0 && k < static_cast<int>(e->members.size()),
-               "ModelTable: member index out of range");
-  return e->flat_offset + k;
-}
-
 std::vector<Metric> ModelTable::metrics() const {
   std::vector<Metric> out;
   out.reserve(entries_.size());
@@ -78,25 +63,29 @@ std::vector<Metric> ModelTable::metrics() const {
 // ----- scorers -----
 
 // An empty table is constructible (metrics() is just empty) — the first
-// score() against it throws through the ModelTable lookup, preserving the
-// pre-redesign Scorer contract.
-ModelScorerBase::ModelScorerBase(ModelTable table)
+// score() against it throws through the ModelTable lookup.
+PredictorScorer::PredictorScorer(ModelTable table)
     : table_(std::move(table)) {}
 
-std::vector<ScoreResult> ModelScorerBase::score(
+PredictorScorer::PredictorScorer(
+    const std::vector<std::pair<Metric, const QorPredictor*>>& models) {
+  for (const auto& [metric, predictor] : models) {
+    table_.add(metric, predictor);
+  }
+}
+
+std::vector<ScoreResult> PredictorScorer::score(
     Metric metric, const std::vector<const Sample*>& samples) const {
   const std::vector<const QorPredictor*>& members = table_.members(metric);
   const std::size_t n = samples.size();
   const std::size_t k_members = members.size();
-  // One batched transport pass per member, fixed registration order, then
-  // the same double-precision mean / population-std aggregation as
-  // QorEnsemble — a single-member metric scores uncertainty 0.0 and its
-  // means bitwise match the pre-redesign scalar path.
+  // One batched forward per member, fixed registration order, then the
+  // same double-precision mean / population-std aggregation as QorEnsemble
+  // — a single-member metric scores uncertainty 0.0 and its means bitwise
+  // match QorPredictor::predict.
   std::vector<std::vector<double>> per_member(k_members);
   for (std::size_t k = 0; k < k_members; ++k) {
-    per_member[k] =
-        member_predictions(table_.flat_id(metric, static_cast<int>(k)),
-                           *members[k], samples);
+    per_member[k] = members[k]->predict_many(samples);
     GNNHLS_CHECK_EQ(per_member[k].size(), n, "scorer member output size");
   }
   std::vector<ScoreResult> out(n);
@@ -114,37 +103,6 @@ std::vector<ScoreResult> ModelScorerBase::score(
         k_members > 1 ? std::sqrt(sq / static_cast<double>(k_members)) : 0.0;
   }
   return out;
-}
-
-PredictorScorer::PredictorScorer(ModelTable table)
-    : ModelScorerBase(std::move(table)) {}
-
-PredictorScorer::PredictorScorer(
-    const std::vector<std::pair<Metric, const QorPredictor*>>& models)
-    : ModelScorerBase([&] {
-        ModelTable table;
-        for (const auto& [metric, predictor] : models) {
-          table.add(metric, predictor);
-        }
-        return table;
-      }()) {}
-
-std::vector<double> PredictorScorer::member_predictions(
-    int /*flat_id*/, const QorPredictor& model,
-    const std::vector<const Sample*>& samples) const {
-  return model.predict_many(samples);
-}
-
-ServingScorer::ServingScorer(ModelTable table, SchedulerConfig cfg)
-    : ModelScorerBase(std::move(table)) {
-  std::vector<const QorPredictor*> predictors = this->table().flat();
-  sched_ = std::make_unique<ServingScheduler>(std::move(predictors), cfg);
-}
-
-std::vector<double> ServingScorer::member_predictions(
-    int flat_id, const QorPredictor& /*model*/,
-    const std::vector<const Sample*>& samples) const {
-  return sched_->predict_many(flat_id, samples);
 }
 
 // ----- explorer -----

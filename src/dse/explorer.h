@@ -7,10 +7,8 @@
 //   * lowering: every candidate is lowered to a CDFG + tensors in parallel
 //     on the support/parallel.h thread pool (each shard fills its own slot,
 //     so results are byte-identical at any pool width);
-//   * scoring: ONE batched scorer call per (metric, round) — either a
-//     direct QorPredictor::predict_many forward or the async ServingBatcher
-//     path; both are bit-identical per the serving contract, asserted by
-//     tests/dse_test.cpp;
+//   * scoring: ONE batched scorer call per (metric, round) — a direct
+//     QorPredictor::predict_many forward per registered model;
 //   * strategies: `exhaustive` synthesizes every point (the ground-truth
 //     sweep DSE exists to avoid); `successive_halving` prunes the candidate
 //     set by predicted rank each round and invokes the HLS flow only on the
@@ -23,15 +21,14 @@
 //
 // Determinism contract: a DseResult is a pure function of (space, trained
 // model, config) — candidate order, predicted values, fronts and the
-// halving trace never depend on thread count, scorer path, or scheduling.
-// active_halving extends this through the feedback loop: refits inherit the
-// Trainer's bit-identity, so the whole active trace is reproducible across
-// pool widths and scorer paths given fixed seeds.
+// halving trace never depend on thread count. active_halving extends this
+// through the feedback loop: refits inherit the Trainer's bit-identity, so
+// the whole active trace is reproducible across pool widths given fixed
+// seeds.
 #pragma once
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -39,7 +36,6 @@
 #include "core/predictor.h"
 #include "dse/design_space.h"
 #include "dse/pareto.h"
-#include "serve/scheduler.h"
 
 namespace gnnhls {
 
@@ -99,10 +95,9 @@ struct DseResult {
   Acquisition acquisition = Acquisition::kPredictedRank;
 };
 
-/// The (metric -> ensemble members) table every scorer shares: single
-/// predictors register one member, ensembles register all of theirs, and
-/// each member gets a flat slot id — the model id the serving scheduler
-/// keys on. Registration order is scoring order; models are borrowed and
+/// The (metric -> ensemble members) table a PredictorScorer scores from:
+/// single predictors register one member, ensembles register all of
+/// theirs. Registration order is scoring order; models are borrowed and
 /// must be fitted and outlive the table's users.
 class ModelTable {
  public:
@@ -117,11 +112,6 @@ class ModelTable {
   /// Members registered for `metric`, in registration order. Throws
   /// std::invalid_argument when the metric has no entry.
   const std::vector<const QorPredictor*>& members(Metric metric) const;
-  /// Flat slot id of `metric`'s member `k` (index into flat()).
-  int flat_id(Metric metric, int k) const;
-  /// Every member across all metrics, registration-ordered — the serving
-  /// scheduler's model list.
-  const std::vector<const QorPredictor*>& flat() const { return flat_; }
   /// Registered metrics in registration order.
   std::vector<Metric> metrics() const;
 
@@ -129,11 +119,9 @@ class ModelTable {
   struct Entry {
     Metric metric;
     std::vector<const QorPredictor*> members;
-    int flat_offset = 0;
   };
   const Entry* find(Metric metric) const;
   std::vector<Entry> entries_;
-  std::vector<const QorPredictor*> flat_;
 };
 
 /// Batched prediction source: one call scores one metric over a candidate
@@ -150,35 +138,13 @@ class Scorer {
   virtual std::vector<Metric> metrics() const = 0;
 };
 
-/// Common scorer implementation over a ModelTable: score() runs one batched
-/// prediction pass per registered member (fixed registration order) and
-/// aggregates them into ScoreResults exactly like QorEnsemble (double
-/// accumulation, population std; single-member metrics score uncertainty
-/// 0.0). Derived classes supply only the per-member batched transport.
-class ModelScorerBase : public Scorer {
- public:
-  std::vector<ScoreResult> score(
-      Metric metric,
-      const std::vector<const Sample*>& samples) const override;
-  std::vector<Metric> metrics() const override { return table_.metrics(); }
-
- protected:
-  explicit ModelScorerBase(ModelTable table);
-  /// One batched prediction pass through one member model. `flat_id` is the
-  /// member's slot in table().flat() — the serving path's model id; the
-  /// direct path can ignore it and call `model` itself.
-  virtual std::vector<double> member_predictions(
-      int flat_id, const QorPredictor& model,
-      const std::vector<const Sample*>& samples) const = 0;
-  const ModelTable& table() const { return table_; }
-
- private:
-  ModelTable table_;
-};
-
-/// Scores through direct QorPredictor::predict_many calls. Models are
-/// borrowed: they must be fitted, and outlive the scorer.
-class PredictorScorer : public ModelScorerBase {
+/// Scores through direct QorPredictor::predict_many calls over a
+/// ModelTable: score() runs one batched forward per registered member
+/// (fixed registration order) and aggregates them into ScoreResults exactly
+/// like QorEnsemble (double accumulation, population std; single-member
+/// metrics score uncertainty 0.0). Models are borrowed: they must be
+/// fitted, and outlive the scorer.
+class PredictorScorer : public Scorer {
  public:
   explicit PredictorScorer(ModelTable table);
   /// One-model-per-metric convenience form: each (metric, predictor) pair
@@ -186,40 +152,13 @@ class PredictorScorer : public ModelScorerBase {
   explicit PredictorScorer(
       const std::vector<std::pair<Metric, const QorPredictor*>>& models);
 
- protected:
-  std::vector<double> member_predictions(
-      int flat_id, const QorPredictor& model,
+  std::vector<ScoreResult> score(
+      Metric metric,
       const std::vector<const Sample*>& samples) const override;
-};
-
-/// Scores through the async serving path: ONE shared-queue
-/// ServingScheduler carrying every registered member model (multi-model
-/// serving), exercising submit/micro-batch/scatter under DSE load.
-/// Historically this spun one ServingBatcher worker thread per metric — a
-/// 4-thread tax for 4-metric scoring; the shared queue serves all members
-/// from a single small worker pool (cfg.workers, default 1). Values are
-/// bit-identical to PredictorScorer by the serving contract. Models are
-/// borrowed and must outlive the scorer; active_halving may refit them
-/// between score() calls — the scheduler permits quiescent refits (see
-/// serve/scheduler.h).
-class ServingScorer : public ModelScorerBase {
- public:
-  /// `cfg.workers`/`max_batch`/`batch_window_us`/`adaptive_window`
-  /// apply to the shared scheduler; admission knobs (max_queue, deadlines)
-  /// are left off — DSE scoring must answer every sample.
-  explicit ServingScorer(ModelTable table, SchedulerConfig cfg = {});
-
-  /// Scheduler counters (per_model_completed is in table().flat() order).
-  SchedStats serving_stats() const { return sched_->stats(); }
-
- protected:
-  std::vector<double> member_predictions(
-      int flat_id, const QorPredictor& model,
-      const std::vector<const Sample*>& samples) const override;
+  std::vector<Metric> metrics() const override { return table_.metrics(); }
 
  private:
-  // unique_ptr: ServingScheduler owns worker threads and is not movable.
-  std::unique_ptr<ServingScheduler> sched_;
+  ModelTable table_;
 };
 
 /// active_halving's feedback policy.

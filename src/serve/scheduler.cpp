@@ -55,6 +55,7 @@ ServingScheduler::ServingScheduler(std::vector<const QorPredictor*> models,
       registry_->counter("gnnhls_sched_rejected_shutdown_total", inst);
   m_.shed_in_queue =
       registry_->counter("gnnhls_sched_shed_in_queue_total", inst);
+  m_.failed = registry_->counter("gnnhls_sched_failed_total", inst);
   m_.batches = registry_->counter("gnnhls_sched_batches_total", inst);
   m_.flush_full = registry_->counter("gnnhls_sched_flush_full_total", inst);
   m_.flush_timeout =
@@ -223,6 +224,7 @@ SchedStats ServingScheduler::stats() const {
   out.shed_capacity = m_.shed_capacity->value();
   out.rejected_shutdown = m_.rejected_shutdown->value();
   out.shed_in_queue = m_.shed_in_queue->value();
+  out.failed = m_.failed->value();
   out.batches = m_.batches->value();
   out.flush_full = m_.flush_full->value();
   out.flush_timeout = m_.flush_timeout->value();
@@ -386,7 +388,8 @@ void ServingScheduler::run_batch(std::vector<Entry>& batch,
   // BEFORE fulfilling the promises: snapshots keep the invariant
   // flush_full + flush_timeout + flush_drain == batches even mid-forward,
   // and a caller whose future.get() has returned always observes its own
-  // request in stats().
+  // request in stats(). A failed forward served nothing: its requests
+  // count as failed only, with no completion and no latency sample.
   {
     std::lock_guard<std::mutex> lock(mu_);
     m_.batches->add();
@@ -395,27 +398,32 @@ void ServingScheduler::run_batch(std::vector<Entry>& batch,
       case FlushReason::kTimeout: m_.flush_timeout->add(); break;
       case FlushReason::kDrain: m_.flush_drain->add(); break;
     }
-    m_.completed->add(batch.size());
-    m_.per_model_completed[static_cast<std::size_t>(model)]->add(batch.size());
     if (static_cast<int>(batch.size()) >
         static_cast<int>(m_.max_batch_seen->value())) {
       m_.max_batch_seen->set(static_cast<std::int64_t>(batch.size()));
     }
     if (heap_delta != 0) m_.heap_allocs->add(heap_delta);
-    for (const Entry& e : batch) {
-      if (e.deadline_us == kNoDeadline || done <= e.deadline_us) {
-        m_.completed_in_deadline->add();
-      }
-      const std::int64_t wait = forward_start - e.arrival_us;
-      m_.queue_wait_us->record(
-          static_cast<std::uint64_t>(wait > 0 ? wait : 0));
-      const std::int64_t lat = done - e.arrival_us;
-      m_.latency_us->record(static_cast<std::uint64_t>(lat > 0 ? lat : 0));
-      if (cfg_.record_latencies) {
-        if (latencies_us_.size() < cfg_.latency_cap) {
-          latencies_us_.push_back(static_cast<double>(lat));
-        } else {
-          m_.latencies_dropped->add();
+    if (error) {
+      m_.failed->add(batch.size());
+    } else {
+      m_.completed->add(batch.size());
+      m_.per_model_completed[static_cast<std::size_t>(model)]->add(
+          batch.size());
+      for (const Entry& e : batch) {
+        if (e.deadline_us == kNoDeadline || done <= e.deadline_us) {
+          m_.completed_in_deadline->add();
+        }
+        const std::int64_t wait = forward_start - e.arrival_us;
+        m_.queue_wait_us->record(
+            static_cast<std::uint64_t>(wait > 0 ? wait : 0));
+        const std::int64_t lat = done - e.arrival_us;
+        m_.latency_us->record(static_cast<std::uint64_t>(lat > 0 ? lat : 0));
+        if (cfg_.record_latencies) {
+          if (latencies_us_.size() < cfg_.latency_cap) {
+            latencies_us_.push_back(static_cast<double>(lat));
+          } else {
+            m_.latencies_dropped->add();
+          }
         }
       }
     }

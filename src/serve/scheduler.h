@@ -1,17 +1,15 @@
-// Shared-queue multi-model serving scheduler — the core of the serving
-// tier.
+// Shared-queue multi-model serving scheduler — the in-process serving
+// entry point (serve/tcp_endpoint.h is the wire front-end on top of it).
 //
-// The previous design spun one ServingBatcher (worker thread + queue +
-// batch window) per served model, so 4-metric DSE scoring paid 4 threads
-// and 4 independently-idling windows. The ServingScheduler replaces that
-// with ONE deadline/priority-ordered request queue carrying
-// (model_id, sample, deadline, priority) entries, drained by a small worker
-// pool that forms per-model micro-batches greedily from whatever is queued:
-// a worker takes the highest-urgency request, collects up to max_batch
-// queued requests for the *same model* (skipping none — queue order within
-// the model is preserved), and runs ONE QorPredictor::predict_many forward.
-// ServingBatcher and the DSE ServingScorer are thin facades over this
-// class.
+// ONE deadline/priority-ordered request queue carries
+// (model_id, sample, deadline, priority) entries and is drained by a small
+// worker pool that forms per-model micro-batches greedily from whatever is
+// queued: a worker takes the highest-urgency request, collects up to
+// max_batch queued requests for the *same model* (skipping none — queue
+// order within the model is preserved), and runs ONE
+// QorPredictor::predict_many forward. A single-model scheduler with one
+// worker and a static window (adaptive_window = false) is the plain
+// micro-batcher: a lone request waits exactly batch_window_us.
 //
 // Queue ordering: priority descending, then deadline ascending (EDF), then
 // submission order. Requests without a deadline sort after same-priority
@@ -56,12 +54,7 @@
 // Threading (real mode): submit()/predict_many()/stats()/shutdown() are
 // safe from any number of threads. Models are shared read-only — the
 // scheduler borrows fitted predictors and requires that nobody re-fits
-// them while a request is in flight. Quiescent refits ARE safe: once
-// every submitted future has resolved, the workers are parked outside
-// model code, and the promise/future + queue-mutex pairs give the
-// happens-before edges that make refit-between-calls race-free. That is
-// the contract Explorer::active_halving leans on when it refits between
-// scoring rounds on the ServingScorer path.
+// them while serving.
 #pragma once
 
 #include <algorithm>
@@ -101,8 +94,7 @@ enum class AdmitStatus {
 std::string admit_status_name(AdmitStatus s);
 
 /// The exception a shed/rejected request's future carries. Derives from
-/// std::runtime_error so callers that only know the ServingBatcher contract
-/// ("after shutdown the future holds a std::runtime_error") keep working.
+/// std::runtime_error, so status-blind callers can catch that.
 class SchedReject : public std::runtime_error {
  public:
   SchedReject(AdmitStatus status, const std::string& what)
@@ -148,8 +140,7 @@ struct SubmitOptions {
 /// `backlog` is the queue depth left after the batch was extracted.
 /// backlog > 0 (arrivals outpacing service) doubles the window toward the
 /// cap; backlog == 0 (the batch drained the queue) halves it toward zero.
-/// With `adaptive` false the window is pinned to the cap — the static
-/// ServingBatcher behavior.
+/// With `adaptive` false the window is pinned to the cap.
 class AdaptiveWindow {
  public:
   AdaptiveWindow(std::int64_t cap_us, bool adaptive)
@@ -189,8 +180,8 @@ struct SchedulerConfig {
   /// Graphs per micro-batch forward (>= 1), per model.
   int max_batch = 8;
   /// Cap of the (adaptive) batch window in microseconds (>= 0). With
-  /// adaptive_window false this is the static window, exactly
-  /// ServeConfig::batch_window_us.
+  /// adaptive_window false this is the static window. 0 means "never
+  /// wait": a worker serves whatever is queued the moment it looks.
   std::int64_t batch_window_us = 200;
   /// Adapt the window to load (see AdaptiveWindow). Execution-only: served
   /// values are unchanged.
@@ -230,9 +221,7 @@ class ServingScheduler {
   };
 
   /// Borrows fitted predictors (one model id per entry, in order); they
-  /// must outlive the scheduler and must not be re-fit while a request is
-  /// in flight (refitting while the scheduler is quiescent — every issued
-  /// future resolved — is fine; see the threading note above).
+  /// must outlive the scheduler and must not be re-fit while serving.
   /// Spawns cfg.workers threads unless cfg.virtual_time.
   ServingScheduler(std::vector<const QorPredictor*> models,
                    SchedulerConfig cfg = {});
@@ -266,11 +255,10 @@ class ServingScheduler {
   /// submitters.
   void shutdown();
 
-  /// Consistent snapshot of the scheduling counters (serve_stats.h). Since
-  /// PR 9 this is a facade over the metrics registry: the counters live in
-  /// obs/metrics.h Counter/Gauge objects (updated under the queue lock, so
-  /// the snapshot invariants still hold) and this assembles the same struct
-  /// from them.
+  /// Consistent snapshot of the scheduling counters (serve_stats.h). The
+  /// counters live in obs/metrics.h Counter/Gauge objects, updated under
+  /// the queue lock so the snapshot invariants hold; this assembles the
+  /// struct from them.
   SchedStats stats() const;
 
   /// Drains the recorded latencies (cfg.record_latencies only; at most
@@ -350,6 +338,7 @@ class ServingScheduler {
     Counter* shed_capacity;
     Counter* rejected_shutdown;
     Counter* shed_in_queue;
+    Counter* failed;
     Counter* batches;
     Counter* flush_full;
     Counter* flush_timeout;

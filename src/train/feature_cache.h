@@ -35,8 +35,8 @@ class FeatureCache {
 
   /// Memoized InputFeatureBuilder::build(s.graph(), a) — the ground-truth
   /// variant only. The reference stays valid until clear() and is shared
-  /// read-only data: training, evaluation and the serving batcher's worker
-  /// all read the same entry concurrently (entries are unique_ptr-backed,
+  /// read-only data: training, evaluation and the serving scheduler's
+  /// workers all read the same entry concurrently (entries are unique_ptr-backed,
   /// so references survive rehashes and concurrent inserts).
   const Matrix& features(const Sample& s, Approach a);
 
@@ -53,7 +53,7 @@ class FeatureCache {
 
   /// Drops every entry (tests; long-lived processes discarding a dataset).
   /// Invalidates every outstanding reference: must not race with fits,
-  /// evaluations or a live ServingBatcher that could still read them.
+  /// evaluations or a live ServingScheduler that could still read them.
   void clear();
 
   /// Drops every variant cached for one sample uid. Invalidates references

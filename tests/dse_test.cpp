@@ -1,7 +1,6 @@
 // dse/ subsystem tests: Pareto-front correctness on hand-built dominance
 // cases, deterministic design-space enumeration, and the explorer
-// determinism contract — results bit-identical across thread-pool widths
-// and across the direct predict_many vs ServingBatcher scoring paths.
+// determinism contract — results bit-identical across thread-pool widths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -184,13 +183,6 @@ const Trained& trained_predictors() {
   return *trained;
 }
 
-ModelTable lut_ff_table(const QorPredictor& lut, const QorPredictor& ff) {
-  ModelTable table;
-  table.add(Metric::kLut, &lut);
-  table.add(Metric::kFf, &ff);
-  return table;
-}
-
 PredictorScorer direct_scorer() {
   const Trained& t = trained_predictors();
   return PredictorScorer(
@@ -277,22 +269,6 @@ TEST(ExplorerTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ExplorerTest, ServingScorerBitIdenticalToDirect) {
-  const Trained& t = trained_predictors();
-  const DesignSpace space = small_space();
-  const PredictorScorer direct = direct_scorer();
-  SchedulerConfig sc;
-  sc.max_batch = 3;  // forces uneven micro-batch splits of the 4 candidates
-  sc.batch_window_us = 0;
-  const ServingScorer serving(lut_ff_table(t.lut, t.ff), sc);
-  EXPECT_EQ(serving.metrics(), direct.metrics());
-  const Explorer via_direct(space, direct);
-  const Explorer via_serving(space, serving);
-  expect_identical_results(via_direct.exhaustive(), via_serving.exhaustive());
-  expect_identical_results(via_direct.successive_halving(),
-                           via_serving.successive_halving());
-}
-
 TEST(ExplorerTest, HalvingRespectsGroundTruthBudget) {
   const DesignSpace space = make_kernel_design_space("gemm");  // 12 points
   const PredictorScorer scorer = direct_scorer();
@@ -367,11 +343,8 @@ TEST(ModelTableTest, RegistrationAndLookup) {
   EXPECT_TRUE(table.has(Metric::kLut));
   EXPECT_THROW(table.add(Metric::kLut, &t.ff), std::invalid_argument);
   table.add(Metric::kFf, &t.ff);
-  EXPECT_EQ(table.flat().size(), 2u);
   EXPECT_EQ(table.members(Metric::kLut),
             (std::vector<const QorPredictor*>{&t.lut}));
-  EXPECT_EQ(table.flat_id(Metric::kLut, 0), 0);
-  EXPECT_EQ(table.flat_id(Metric::kFf, 0), 1);
   EXPECT_EQ(table.metrics(),
             (std::vector<Metric>{Metric::kLut, Metric::kFf}));
   EXPECT_THROW(table.members(Metric::kDsp), std::invalid_argument);
@@ -383,11 +356,9 @@ TEST(ModelTableTest, EnsembleRegistersEveryMember) {
   ModelTable table;
   table.add(Metric::kLut, &ensemble);
   ASSERT_EQ(table.members(Metric::kLut).size(), 3u);
-  EXPECT_EQ(table.flat().size(), 3u);
   for (int k = 0; k < 3; ++k) {
     EXPECT_EQ(table.members(Metric::kLut)[static_cast<std::size_t>(k)],
               &ensemble.member(k));
-    EXPECT_EQ(table.flat_id(Metric::kLut, k), k);
   }
 }
 
@@ -540,30 +511,6 @@ TEST(ExplorerTest, ActiveBitIdenticalAcrossThreadCounts) {
     expect_identical_results(serial, explorer.active_halving(lut));
   }
   EXPECT_GE(serial.refits, 1);
-}
-
-TEST(ExplorerTest, ActiveServingScorerBitIdenticalToDirect) {
-  const Trained& t = trained_predictors();
-  const DesignSpace space = make_kernel_design_space("gemm");
-  DseConfig cfg;
-  cfg.top_k = 3;
-  // Two identically-fitted rank models: each arm refits its own copy.
-  QorPredictor lut_direct = fresh_predictor(Metric::kLut);
-  QorPredictor lut_serving = fresh_predictor(Metric::kLut);
-  const PredictorScorer direct(
-      {{Metric::kLut, &lut_direct}, {Metric::kFf, &t.ff}});
-  SchedulerConfig sc;
-  sc.max_batch = 5;  // forces uneven micro-batch splits
-  sc.batch_window_us = 0;
-  const ServingScorer serving(lut_ff_table(lut_serving, t.ff), sc);
-  const Explorer via_direct(space, direct, cfg);
-  const Explorer via_serving(space, serving, cfg);
-  const DseResult a = via_direct.active_halving(lut_direct);
-  // The serving arm refits lut_serving between scoring rounds — exactly
-  // the quiescent-refit contract serve/scheduler.h documents.
-  const DseResult b = via_serving.active_halving(lut_serving);
-  expect_identical_results(a, b);
-  EXPECT_GE(a.refits, 1);
 }
 
 TEST(ExplorerTest, ActiveEnsembleUncertaintyBonus) {

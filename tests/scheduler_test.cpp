@@ -1,8 +1,9 @@
 // serve/scheduler.h tests: the shared-queue multi-model scheduler's
 // admission control (expired-at-submit, over-capacity), in-queue load
 // shedding, priority/EDF ordering, adaptive-window rule, drain-on-shutdown
-// answering every accepted future, multi-model fairness under one-hot load,
-// and the determinism contract — scheduled predictions bit-identical to
+// answering every accepted future, failed forwards counted as failed (not
+// served), multi-model fairness under one-hot load, and the determinism
+// contract — scheduled predictions bit-identical to
 // sequential QorPredictor::predict across batch compositions for all 14
 // encoder kinds. Edge-case tests run in virtual-time mode (no worker
 // threads, no real clock) so expiry and window behavior are exact, not
@@ -17,7 +18,6 @@
 
 #include "gnn/encoders.h"
 #include "serve/scheduler.h"
-#include "serve/serving_batcher.h"
 
 namespace gnnhls {
 namespace {
@@ -253,7 +253,7 @@ TEST(AdaptiveWindowTest, RuleIsDeterministicGivenObservations) {
   AdaptiveWindow pinned(/*cap_us=*/200, /*adaptive=*/false);
   pinned.observe(0);
   pinned.observe(9);
-  EXPECT_EQ(pinned.current_us(), 200);  // static: the ServingBatcher mode
+  EXPECT_EQ(pinned.current_us(), 200);  // static window
   EXPECT_EQ(pinned.grows() + pinned.shrinks(), 0U);
 }
 
@@ -355,6 +355,55 @@ TEST(SchedulerMultiModelTest, BatchesNeverMixModels) {
   EXPECT_GT(st.heap_allocs, 0U);
 }
 
+// ----- failed forwards -----
+
+TEST(SchedulerFailureTest, FailedForwardCountsAsFailedNotServed) {
+  // An unfitted predictor throws from predict_many: every future must
+  // carry that error, and nothing may count as served — goodput reads
+  // completed_in_deadline, so a failed batch must not inflate it.
+  SchedFixture& fx = fixture();
+  const QorPredictor unfitted(Approach::kOffTheShelf, model_cfg(),
+                              train_cfg());
+  ServingScheduler sched({&unfitted}, virtual_cfg(/*max_batch=*/3,
+                                                  /*window=*/0));
+  constexpr int kRequests = 7;  // 3 + 3 + 1: full batches and a partial
+  SubmitOptions sla;
+  sla.deadline_us = 1'000'000;
+  std::vector<std::future<double>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(
+        sched.submit(0, fx.samples[static_cast<size_t>(i)], sla).future);
+  }
+  while (sched.pump()) {
+  }
+  for (std::future<double>& f : futures) {
+    EXPECT_THROW(f.get(), std::invalid_argument);
+  }
+  const SchedStats st = sched.stats();
+  EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(st.failed, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(st.completed, 0U);
+  EXPECT_EQ(st.completed_in_deadline, 0U);
+  ASSERT_EQ(st.per_model_completed.size(), 1U);
+  EXPECT_EQ(st.per_model_completed[0], 0U);
+  EXPECT_EQ(st.batches, 3U);
+  EXPECT_EQ(st.flush_full + st.flush_timeout + st.flush_drain, st.batches);
+  // No latency sample either: the private registry's latency histogram
+  // stays empty while the failed series carries every request.
+  const std::string text = sched.metrics_registry().render_text();
+  const auto series_line = [&text](const std::string& family) {
+    const std::size_t pos = text.find("\n" + family + "{");
+    if (pos == std::string::npos) return std::string();
+    return text.substr(pos + 1, text.find('\n', pos + 1) - pos - 1);
+  };
+  const auto value_of = [](const std::string& line) {
+    return line.substr(line.rfind(' ') + 1);
+  };
+  EXPECT_EQ(value_of(series_line("gnnhls_sched_latency_us_count")), "0");
+  EXPECT_EQ(value_of(series_line("gnnhls_sched_failed_total")),
+            std::to_string(kRequests));
+}
+
 // ----- drain and real-threaded paths -----
 
 TEST(SchedulerDrainTest, ShutdownAnswersEveryAcceptedFuture) {
@@ -426,25 +475,6 @@ TEST(SchedulerOwnershipTest, SharedPtrAndRvalueSubmitOutliveCaller) {
   EXPECT_TRUE(sched.pump());
   EXPECT_EQ(shared_t.future.get(), expect0);
   EXPECT_EQ(moved_t.future.get(), expect1);
-}
-
-TEST(SchedulerOwnershipTest, BatcherFacadeOwnershipPaths) {
-  SchedFixture& fx = fixture();
-  const double expect = fx.lut.predict(fx.samples[3]);
-  ServeConfig sc;
-  sc.max_batch = 2;
-  sc.batch_window_us = 0;
-  ServingBatcher batcher(fx.lut, sc);
-  std::future<double> shared_f;
-  std::future<double> moved_f;
-  {
-    auto owned = std::make_shared<const Sample>(fx.samples[3]);
-    shared_f = batcher.submit(owned);
-    Sample tmp = fx.samples[3];
-    moved_f = batcher.submit(std::move(tmp));
-  }
-  EXPECT_EQ(shared_f.get(), expect);
-  EXPECT_EQ(moved_f.get(), expect);
 }
 
 // ----- determinism across batch compositions, all 14 encoder kinds -----

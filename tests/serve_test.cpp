@@ -1,7 +1,10 @@
-// serve/ subsystem tests: the ServingBatcher's determinism contract (served
-// predictions bit-identical to sequential QorPredictor::predict), the
-// single-request and empty-window paths, concurrent submitters, and clean
-// shutdown with in-flight requests.
+// serve/ subsystem tests: the batched predict_many entry point's
+// determinism contract (bit-identical to sequential QorPredictor::predict),
+// and a single-model ServingScheduler used as a plain micro-batcher (one
+// worker, static window): the exact window timeout of a lone request, the
+// zero window, idle shutdown, blocking predict_many and concurrent
+// submitters. Multi-model scheduling, admission, shedding and drain live in
+// scheduler_test.cpp.
 #include <atomic>
 #include <future>
 #include <thread>
@@ -9,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/serving_batcher.h"
+#include "serve/scheduler.h"
 
 namespace gnnhls {
 namespace {
@@ -95,71 +98,56 @@ TEST(PredictManyTest, HierarchicalPathBitIdentical) {
   }
 }
 
-// ----- ServingBatcher -----
+// ----- single-model ServingScheduler (one worker, static window) -----
 
-TEST(ServingBatcherTest, ServedPredictionsBitIdenticalToSequential) {
-  ServeFixture& fx = fixture();
-  ServeConfig sc;
-  sc.max_batch = 8;
-  sc.batch_window_us = 500;
-  ServingBatcher batcher(fx.predictor, sc);
-
-  std::vector<std::future<double>> futures;
-  for (const Sample& s : fx.samples) futures.push_back(batcher.submit(s));
-  for (std::size_t i = 0; i < fx.samples.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), fx.predictor.predict(fx.samples[i]))
-        << "sample " << i;
-  }
-  const ServeStats st = batcher.stats();
-  EXPECT_EQ(st.submitted, fx.samples.size());
-  EXPECT_EQ(st.completed, fx.samples.size());
-  EXPECT_LE(st.max_batch_seen, sc.max_batch);
-  EXPECT_EQ(st.flush_full + st.flush_timeout + st.flush_drain, st.batches);
+/// The plain micro-batcher: one model, one worker, a static window, so a
+/// lone request waits exactly `window_us` before its batch closes.
+SchedulerConfig single_model_cfg(int max_batch, std::int64_t window_us) {
+  SchedulerConfig sc;
+  sc.workers = 1;
+  sc.max_batch = max_batch;
+  sc.batch_window_us = window_us;
+  sc.adaptive_window = false;
+  return sc;
 }
 
-TEST(ServingBatcherTest, SingleRequestFlushesOnWindowTimeout) {
+TEST(SingleModelServingTest, LoneRequestFlushesOnWindowTimeout) {
   ServeFixture& fx = fixture();
-  ServeConfig sc;
-  sc.max_batch = 64;  // far above the traffic: only the timer can flush
-  sc.batch_window_us = 100;
-  ServingBatcher batcher(fx.predictor, sc);
-  std::future<double> f = batcher.submit(fx.samples[0]);
+  // max_batch far above the traffic: only the timer can flush.
+  ServingScheduler sched({&fx.predictor}, single_model_cfg(64, 100));
+  std::future<double> f = sched.submit(0, fx.samples[0]).future;
   EXPECT_EQ(f.get(), fx.predictor.predict(fx.samples[0]));
-  const ServeStats st = batcher.stats();
+  const SchedStats st = sched.stats();
   EXPECT_EQ(st.batches, 1U);
   EXPECT_EQ(st.flush_timeout, 1U);
   EXPECT_EQ(st.max_batch_seen, 1);
+  EXPECT_EQ(st.window_us, 100);  // static: the window never moved
 }
 
-TEST(ServingBatcherTest, ZeroWindowServesImmediately) {
+TEST(SingleModelServingTest, ZeroWindowServesImmediately) {
   ServeFixture& fx = fixture();
-  ServeConfig sc;
-  sc.max_batch = 8;
-  sc.batch_window_us = 0;  // "never wait" — worker serves whatever is queued
-  ServingBatcher batcher(fx.predictor, sc);
+  // "Never wait": the worker serves whatever is queued the moment it looks.
+  ServingScheduler sched({&fx.predictor}, single_model_cfg(8, 0));
   for (int round = 0; round < 3; ++round) {
-    std::future<double> f = batcher.submit(fx.samples[0]);
+    std::future<double> f = sched.submit(0, fx.samples[0]).future;
     EXPECT_EQ(f.get(), fx.predictor.predict(fx.samples[0]));
   }
-  EXPECT_EQ(batcher.stats().completed, 3U);
+  EXPECT_EQ(sched.stats().completed, 3U);
 }
 
-TEST(ServingBatcherTest, IdleShutdownServesNothing) {
+TEST(SingleModelServingTest, IdleShutdownServesNothing) {
   ServeFixture& fx = fixture();
-  ServingBatcher batcher(fx.predictor);
-  batcher.shutdown();  // no traffic: worker must exit without a forward
-  const ServeStats st = batcher.stats();
+  ServingScheduler sched({&fx.predictor}, single_model_cfg(8, 200));
+  sched.shutdown();  // no traffic: the worker must exit without a forward
+  const SchedStats st = sched.stats();
   EXPECT_EQ(st.submitted, 0U);
   EXPECT_EQ(st.batches, 0U);
   EXPECT_EQ(st.avg_batch(), 0.0);
 }
 
-TEST(ServingBatcherTest, ConcurrentSubmittersAllBitIdentical) {
+TEST(SingleModelServingTest, ConcurrentSubmittersAllBitIdentical) {
   ServeFixture& fx = fixture();
-  ServeConfig sc;
-  sc.max_batch = 8;
-  sc.batch_window_us = 300;
-  ServingBatcher batcher(fx.predictor, sc);
+  ServingScheduler sched({&fx.predictor}, single_model_cfg(8, 300));
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 12;
@@ -171,7 +159,7 @@ TEST(ServingBatcherTest, ConcurrentSubmittersAllBitIdentical) {
         const Sample& s =
             fx.samples[static_cast<std::size_t>((t * 7 + r * 3) %
                                                 fx.samples.size())];
-        if (batcher.submit(s).get() != fx.predictor.predict(s)) {
+        if (sched.submit(0, s).future.get() != fx.predictor.predict(s)) {
           ++mismatches;
         }
       }
@@ -179,63 +167,26 @@ TEST(ServingBatcherTest, ConcurrentSubmittersAllBitIdentical) {
   }
   for (std::thread& c : clients) c.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const ServeStats st = batcher.stats();
+  const SchedStats st = sched.stats();
   EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_LE(st.max_batch_seen, 8);
+  EXPECT_EQ(st.flush_full + st.flush_timeout + st.flush_drain, st.batches);
 }
 
-TEST(ServingBatcherTest, BlockingPredictManyMatchesSequential) {
+TEST(SingleModelServingTest, BlockingPredictManyMatchesSequential) {
   ServeFixture& fx = fixture();
-  ServingBatcher batcher(fx.predictor);
+  ServingScheduler sched({&fx.predictor}, single_model_cfg(8, 200));
   std::vector<const Sample*> parts;
   for (int i : fx.split.test) {
     parts.push_back(&fx.samples[static_cast<std::size_t>(i)]);
   }
-  const std::vector<double> served = batcher.predict_many(parts);
+  const std::vector<double> served = sched.predict_many(0, parts);
   ASSERT_EQ(served.size(), parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {
     EXPECT_EQ(served[i], fx.predictor.predict(*parts[i]));
   }
-  EXPECT_TRUE(batcher.predict_many({}).empty());
-}
-
-TEST(ServingBatcherTest, ShutdownDrainsInFlightRequests) {
-  ServeFixture& fx = fixture();
-  ServeConfig sc;
-  sc.max_batch = 4;
-  sc.batch_window_us = 50'000;  // long window: requests are queued when
-                                // shutdown lands, not yet served
-  ServingBatcher batcher(fx.predictor, sc);
-  std::vector<std::future<double>> futures;
-  for (const Sample& s : fx.samples) futures.push_back(batcher.submit(s));
-  batcher.shutdown();
-  for (std::size_t i = 0; i < fx.samples.size(); ++i) {
-    // Every accepted request is answered, and with the exact sequential
-    // value — shutdown changes scheduling, never predictions.
-    EXPECT_EQ(futures[i].get(), fx.predictor.predict(fx.samples[i]));
-  }
-  const ServeStats st = batcher.stats();
-  EXPECT_EQ(st.completed, fx.samples.size());
-}
-
-TEST(ServingBatcherTest, SubmitAfterShutdownFailsFast) {
-  ServeFixture& fx = fixture();
-  ServingBatcher batcher(fx.predictor);
-  batcher.shutdown();
-  batcher.shutdown();  // idempotent
-  std::future<double> f = batcher.submit(fx.samples[0]);
-  EXPECT_THROW(f.get(), std::runtime_error);
-  EXPECT_EQ(batcher.stats().submitted, 0U);
-}
-
-TEST(ServingBatcherTest, RejectsBadConfig) {
-  ServeFixture& fx = fixture();
-  ServeConfig sc;
-  sc.max_batch = 0;
-  EXPECT_THROW(ServingBatcher(fx.predictor, sc), std::invalid_argument);
-  sc.max_batch = 1;
-  sc.batch_window_us = -1;
-  EXPECT_THROW(ServingBatcher(fx.predictor, sc), std::invalid_argument);
+  EXPECT_TRUE(sched.predict_many(0, {}).empty());
 }
 
 }  // namespace
