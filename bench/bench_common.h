@@ -66,12 +66,6 @@ struct BenchConfig {
   // DSE knobs (bench_dse; see dse/design_space.h + dse/explorer.h).
   int dse_points = 48;          // design-space size floor (grid_with_at_least)
   int dse_topk = 0;             // ground-truth budget (0 = max(1, points/4))
-  bool dse_active = false;      // run the model-in-the-loop active_halving
-                                // arm (refit on fed-back ground truth) and
-                                // gate it against the static baseline
-  int dse_ensemble = 1;         // rank-metric deep-ensemble size for the
-                                // active arm (1 = single predictor; >1
-                                // enables uncertainty-bonus acquisition)
   // Observability knobs (src/obs/): --obs publishes serving/training
   // counters into MetricsRegistry::global() and arms span emission;
   // --trace-out additionally starts the TraceCollector and writes the
@@ -137,14 +131,6 @@ inline void print_bench_usage(std::ostream& os) {
         "                         grows deterministically to at least N)\n"
         "  --dse-topk=K           successive-halving ground-truth budget\n"
         "                         (0 = max(1, points/4), the 25% cap)\n"
-        "  --active=0|1           also run Explorer::active_halving (online\n"
-        "                         refit on fed-back HLS ground truth) and\n"
-        "                         gate it against successive halving at the\n"
-        "                         SAME ground-truth budget\n"
-        "  --ensemble=K           deep-ensemble size of the active arm's\n"
-        "                         rank-metric model (K seed-offset members;\n"
-        "                         K>1 scores mean + uncertainty and switches\n"
-        "                         acquisition to the LCB uncertainty bonus)\n"
         "perf tracking:\n"
         "  --json=PATH            also write the bench's result table to\n"
         "                         PATH as JSON (BENCH_<name>.json artifact;\n"
@@ -208,8 +194,6 @@ inline BenchConfig parse_bench_config(int argc, const char* const* argv) {
   cfg.max_inflight = flags.get_int("max-inflight", cfg.max_inflight);
   cfg.dse_points = flags.get_int("dse-points", cfg.dse_points);
   cfg.dse_topk = flags.get_int("dse-topk", cfg.dse_topk);
-  cfg.dse_active = flags.get_bool("active", cfg.dse_active);
-  cfg.dse_ensemble = flags.get_int("ensemble", cfg.dse_ensemble);
   cfg.json_path = flags.get_string("json", "");
   cfg.obs = flags.get_bool("obs", cfg.obs);
   cfg.trace_out = flags.get_string("trace-out", "");

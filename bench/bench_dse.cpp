@@ -17,13 +17,6 @@
 //     run at pool width 1 and --threads (lowering + synthesis shards and
 //     the batched forwards on the kernel pool).
 //
-// With --active (and optionally --ensemble=K) the bench also runs the
-// model-in-the-loop arm: Explorer::active_halving refits the rank-metric
-// model on fed-back HLS ground truth mid-pruning, at successive halving's
-// EXACT synthesis budget. The arm is gated: equal hls_runs, post-refit
-// Spearman matches/beats the static model's, top-1 recovery no worse, and
-// the whole active trace bit-identical across thread counts.
-//
 // Hard gates (exit 1): every throughput row must reproduce the baseline
 // exploration bit-for-bit across pool widths, and successive halving must
 // respect its ground-truth budget. The
@@ -36,7 +29,6 @@
 #include <cstring>
 
 #include "bench_common.h"
-#include "core/ensemble.h"
 #include "dse/explorer.h"
 
 namespace gnnhls::bench {
@@ -88,17 +80,12 @@ bool same_exploration(const DseResult& a, const DseResult& b) {
   if (a.candidates.size() != b.candidates.size()) return false;
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
     if (a.candidates[i].predicted != b.candidates[i].predicted) return false;
-    if (a.candidates[i].uncertainty != b.candidates[i].uncertainty) {
-      return false;
-    }
     if (a.candidates[i].synthesized != b.candidates[i].synthesized) {
       return false;
     }
   }
-  // The active-loop trace must agree too (defaults for static runs).
   return a.front == b.front && a.predicted_front == b.predicted_front &&
-         a.best == b.best && a.survivors_per_round == b.survivors_per_round &&
-         a.refits == b.refits && a.fed_back == b.fed_back;
+         a.best == b.best && a.survivors_per_round == b.survivors_per_round;
 }
 
 int run(int argc, const char* const* argv) {
@@ -138,7 +125,7 @@ int run(int argc, const char* const* argv) {
     preset("--dse-points", cfg.dse_points, 16);
     preset("--threads", cfg.threads, 2);
   }
-  print_header("DSE: model-in-the-loop design-space exploration", cfg);
+  print_header("DSE: predictor-guided design-space exploration", cfg);
 
   std::cout << "\n-- corpus + models --\n";
   const std::vector<Sample> corpus = build_cdfg(cfg);
@@ -205,106 +192,6 @@ int run(int argc, const char* const* argv) {
                  rank_quality(exh, m), "rho");
   }
 
-  // ----- model-in-the-loop active halving (--active) -----
-  bool active_ok = true;  // stays true when the arm is off
-  if (cfg.dse_active) {
-    const SplitIndices split =
-        split_80_10_10(static_cast<int>(corpus.size()), cfg.seed);
-    ModelConfig amc = model_config(cfg);
-    amc.kind = GnnKind::kRgcn;
-    const TrainConfig atc = train_config(cfg);
-    DseConfig active_cfg = dse;
-    active_cfg.active.feedback_rounds = 1;
-    if (cfg.dse_ensemble > 1) {
-      active_cfg.active.acquisition = Acquisition::kUncertaintyBonus;
-    }
-    std::cout << "\n-- active halving (--active, rank-model ensemble K="
-              << cfg.dse_ensemble << ", acquisition "
-              << (cfg.dse_ensemble > 1 ? "uncertainty-bonus"
-                                       : "predicted-rank")
-              << ") --\n";
-
-    struct ActiveRun {
-      DseResult result;
-      double rho = 0.0;   // POST-refit Spearman over the full space
-      double wall = 0.0;  // active_halving only (fit excluded)
-    };
-    // Each run fits its own rank model — refitting mutates it in place —
-    // bitwise reproducing the same starting checkpoint at the fixed seed.
-    const auto run_active = [&] {
-      QorEnsemble model(Approach::kOffTheShelf, amc, atc, cfg.dse_ensemble);
-      model.fit(corpus, split, Metric::kLut, FitOptions{});
-      ModelTable table;
-      table.add(Metric::kLut, &model);
-      table.add(Metric::kFf, &models.ff);
-      const PredictorScorer scorer(std::move(table));
-      const Explorer ex(space, scorer, active_cfg);
-      ActiveRun run;
-      Timer t;
-      run.result = ex.active_halving(model);
-      run.wall = t.seconds();
-      // Post-refit ranking quality, judged on the exhaustive sweep's
-      // ground truth over the WHOLE space (not just survivors).
-      std::vector<const Sample*> ptrs;
-      std::vector<double> truth;
-      for (const DseCandidate& c : exh.candidates) {
-        ptrs.push_back(&c.sample);
-        truth.push_back(true_of(c, Metric::kLut));
-      }
-      run.rho = spearman_rank_correlation(model.predict_many(ptrs), truth);
-      return run;
-    };
-
-    const ActiveRun active = run_active();
-    ThreadPool::set_global_threads(cfg.threads);
-    const ActiveRun wide = run_active();
-    ThreadPool::set_global_threads(1);
-
-    const DseResult& act = active.result;
-    std::string atrace;
-    for (std::size_t i = 0; i < act.survivors_per_round.size(); ++i) {
-      atrace += (i ? " -> " : "") + std::to_string(act.survivors_per_round[i]);
-    }
-    int fed = 0;
-    for (const std::vector<int>& round : act.fed_back) {
-      fed += static_cast<int>(round.size());
-    }
-    std::cout << "  survivors " << atrace << ", " << act.refits
-              << " refit(s) on " << fed << " fed-back candidate(s), "
-              << act.hls_runs << " HLS runs in "
-              << TextTable::num(active.wall, 2) << "s\n";
-    const double static_rho = rank_quality(exh, Metric::kLut);
-    TextTable duel({"strategy", "Spearman rho (LUT)", "true top-1",
-                    "HLS runs"});
-    duel.add_row({"static halving", TextTable::num(static_rho, 3),
-                  sh.best == exh.best ? "recovered" : "missed",
-                  std::to_string(sh.hls_runs)});
-    duel.add_row({"active halving", TextTable::num(active.rho, 3),
-                  act.best == exh.best ? "recovered" : "missed",
-                  std::to_string(act.hls_runs)});
-    std::cout << duel.to_string();
-
-    // The active arm's hard gates: budget parity, no quality regression,
-    // and the determinism contract extended through the feedback loop.
-    const bool equal_budget = act.hls_runs == sh.hls_runs;
-    const bool rho_ok = active.rho + 1e-9 >= static_rho;
-    const bool top1_ok = sh.best != exh.best || act.best == exh.best;
-    const bool widths_ok =
-        same_exploration(act, wide.result) && active.rho == wide.rho;
-    checks.check("active spends exactly the static halving budget",
-                 equal_budget);
-    checks.check("active Spearman(LUT) matches/beats static after refit",
-                 rho_ok);
-    checks.check("active top-1 recovery no worse than static", top1_ok);
-    checks.check("active trace bit-identical across thread counts",
-                 widths_ok);
-    active_ok = equal_budget && rho_ok && top1_ok && widths_ok;
-
-    json_log.add("active spearman LUT", active.rho, "rho");
-    json_log.add("active halving",
-                 static_cast<double>(n) / active.wall, "cand/s");
-  }
-
   // ----- exploration throughput: pool width 1 and --threads -----
   std::cout << "\n-- exploration throughput (full successive-halving runs, "
                "candidates/sec) --\n";
@@ -332,20 +219,14 @@ int run(int argc, const char* const* argv) {
   write_bench_json(cfg, json_log, "dse");
 
   checks.summary();
-  const bool hard_ok =
-      sweep_identical && active_ok && (explicit_topk || budget_ok);
+  const bool hard_ok = sweep_identical && (explicit_topk || budget_ok);
   if (!hard_ok) {
-    std::cout << "FAIL: a hard DSE invariant (sweep/active bit-identity, "
-                 "an active-arm quality gate, or the default ground-truth "
-                 "budget) was violated\n";
+    std::cout << "FAIL: a hard DSE invariant (sweep bit-identity or the "
+                 "default ground-truth budget) was violated\n";
     return 1;
   }
   std::cout << "hard invariants hold: scoring bit-identical across pool "
-               "widths, ground-truth budget respected"
-            << (cfg.dse_active
-                    ? ", active arm at parity budget with no quality "
-                      "regression.\n"
-                    : ".\n");
+               "widths, ground-truth budget respected.\n";
   return 0;
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
-#include <numeric>
 
 #include "gnn/graph_batch.h"
 #include "support/parallel.h"
@@ -57,30 +55,23 @@ BatchPlan classifier_plan(const std::vector<Sample>& samples,
       },
       Rng(order_seed),
       // Cores depend only on (membership, off-the-shelf features): the -I
-      // hierarchy's classifier refit and the standalone NodeTypePredictor
+      // hierarchy's classifier fit and the standalone NodeTypePredictor
       // share one assembly per (seed, split).
       BatchPlan::share_key("train/cls", order_seed, tc.batch_size, samples,
                            train_idx));
 }
 
-/// Runs `trainer` over `plan` with per-epoch validation and applies the
-/// FitOptions validation policy — the best-epoch selection every validated
-/// fit shares. `validate` scores the model after each epoch; the best score
-/// (higher or lower wins per `higher_is_better`) is tracked, and kBestEpoch
-/// snapshots the parameters and Adam moments at that epoch and restores
-/// them at the end. `adam_state` receives the selected optimizer moments
-/// (the final ones when nothing is restored) for later warm starts.
+/// Runs `trainer` over `plan` with per-epoch validation and restores the
+/// best epoch's parameters — the model selection every validated fit
+/// shares. `validate` scores the model after each epoch; the best score
+/// (higher or lower wins per `higher_is_better`) is tracked and its
+/// parameters snapshotted.
 FitReport fit_with_epoch_selection(Module& model, BatchPlan& plan,
-                                   Trainer& trainer, const FitOptions& opts,
-                                   bool higher_is_better,
-                                   const std::function<double()>& validate,
-                                   std::optional<AdamState>& adam_state) {
+                                   Trainer& trainer, bool higher_is_better,
+                                   const std::function<double()>& validate) {
   FitReport report;
   std::vector<Matrix> best_params;
-  AdamState best_opt;
-  const bool select_best =
-      opts.validation == FitOptions::Validation::kBestEpoch;
-  const FitReport run = trainer.fit(plan, opts, [&](int epoch) {
+  const FitReport run = trainer.fit(plan, FitOptions{}, [&](int epoch) {
     const double val = validate();
     report.val_curve.push_back(val);
     const bool better =
@@ -88,23 +79,12 @@ FitReport fit_with_epoch_selection(Module& model, BatchPlan& plan,
     if (report.best_epoch < 0 || better) {
       report.best_val = val;
       report.best_epoch = epoch;
-      if (select_best) {
-        // Snapshot both halves of the checkpoint: a later warm start must
-        // resume from the SELECTED model, weights and moments together.
-        best_params = snapshot_parameters(model);
-        best_opt = trainer.export_optimizer_state();
-      }
+      best_params = snapshot_parameters(model);
     }
   });
   report.epochs_run = run.epochs_run;
   report.steps = run.steps;
-  report.warm_started = run.warm_started;
-  if (select_best && !best_params.empty()) {
-    restore_parameters(model, best_params);
-    adam_state = std::move(best_opt);
-  } else {
-    adam_state = trainer.export_optimizer_state();
-  }
+  if (!best_params.empty()) restore_parameters(model, best_params);
   return report;
 }
 
@@ -148,71 +128,45 @@ Matrix QorPredictor::infused_features(const Sample& s) const {
 }
 
 void QorPredictor::fit_classifier(const std::vector<Sample>& samples,
-                                  const std::vector<int>& train_idx,
-                                  std::uint64_t seed) {
+                                  const std::vector<int>& train_idx) {
+  const std::uint64_t seed = train_cfg_.seed;
   Rng init_rng(seed * 7919 + 13);
   classifier_ = std::make_unique<NodeClassifier>(
       model_cfg_, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf),
       init_rng);
-  TrainConfig tc = train_cfg_;
-  tc.seed = seed;
-  BatchPlan plan = classifier_plan(samples, train_idx, tc);
-  Trainer trainer(*classifier_, tc, classifier_hooks(*classifier_),
+  BatchPlan plan = classifier_plan(samples, train_idx, train_cfg_);
+  Trainer trainer(*classifier_, train_cfg_, classifier_hooks(*classifier_),
                   seed * 17 + 3);
   // -I keeps the last classifier epoch (no validation-driven selection).
   trainer.fit(plan, FitOptions{}, nullptr);
 }
 
-FitReport QorPredictor::train_regressor(BatchPlan& plan, Trainer& trainer,
-                                        const FitOptions& opts) {
-  // Lower validation MAPE wins. NOTE: -I validates through the full
-  // hierarchical path (classifier bits), matching deployment.
-  return fit_with_epoch_selection(
-      *regressor_, plan, trainer, opts, /*higher_is_better=*/false,
-      [this] { return evaluate_mape(corpus_, split_.val); }, adam_state_);
-}
-
 FitReport QorPredictor::fit(const std::vector<Sample>& samples,
                             const SplitIndices& split, Metric metric,
-                            const FitOptions& opts) {
+                            const FitOptions& /*opts*/) {
   metric_ = metric;
   GNNHLS_CHECK(!split.train.empty() && !split.val.empty(),
                "fit: empty train/val split");
   tune_malloc_for_tensor_workloads();  // epochs of tape churn ahead
-  const std::uint64_t seed = opts.seed != 0 ? opts.seed : train_cfg_.seed;
-  const bool warm = opts.warm_start && regressor_ != nullptr;
+  const std::uint64_t seed = train_cfg_.seed;
 
-  if (!warm) {
-    if (approach_ == Approach::kKnowledgeInfused &&
-        infused_ == InfusedInference::kSelfInferred) {
-      fit_classifier(samples, split.train, seed);
-    }
-    Rng init_rng(seed * 104729 + static_cast<int>(metric));
-    regressor_ = std::make_unique<GraphRegressor>(
-        model_cfg_, InputFeatureBuilder::feature_dim(approach_), init_rng);
-    adam_state_.reset();
+  if (approach_ == Approach::kKnowledgeInfused &&
+      infused_ == InfusedInference::kSelfInferred) {
+    fit_classifier(samples, split.train);
   }
-
-  // Retain the corpus and split (Sample copies keep their uids, so cached
-  // features and batch cores stay shared) for later refit() segments.
-  corpus_ = samples;
-  split_ = split;
-  fit_seed_ = seed;
-  refits_ = 0;
-  segments_.clear();
+  Rng init_rng(seed * 104729 + static_cast<int>(metric));
+  regressor_ = std::make_unique<GraphRegressor>(
+      model_cfg_, InputFeatureBuilder::feature_dim(approach_), init_rng);
 
   // -I trains on ground-truth type bits (knowledge infusion), so training
   // features are a pure function of (sample, approach) for every approach
   // and come from the FeatureCache. Plan cores depend only on (seed, split,
   // approach) — never on the fitted metric, which lives in the labels — so
-  // per-metric refits over the same split share one union assembly through
+  // per-metric fits over the same split share one union assembly through
   // the BatchCoreCache.
   const std::uint64_t order_seed = seed * 31 + 1;
-  const std::string key = BatchPlan::share_key(
-      "train/reg/a" + std::to_string(static_cast<int>(approach_)), order_seed,
-      train_cfg_.batch_size, corpus_, split.train);
   BatchPlan plan = BatchPlan::build(
-      corpus_, split.train, train_cfg_.batch_size,
+      samples, split.train, train_cfg_.batch_size,
       [this](const Sample& s) -> const Matrix& {
         return FeatureCache::global().features(s, approach_);
       },
@@ -220,95 +174,18 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
         return Matrix(1, 1,
                       encode_target(metric_of(s.truth, metric_), metric_));
       },
-      Rng(order_seed), key);
-  // Segment 0 of any future refit: the same (idx, seed, key) triple this
-  // plan resolved its cores under, so the refit's base segment is a pure
-  // BatchCoreCache hit.
-  segments_.push_back(BatchPlan::Segment{split.train, order_seed, key});
+      Rng(order_seed),
+      BatchPlan::share_key(
+          "train/reg/a" + std::to_string(static_cast<int>(approach_)),
+          order_seed, train_cfg_.batch_size, samples, split.train));
 
   Trainer trainer(*regressor_, train_cfg_, regressor_hooks(*regressor_),
                   seed * 17 + 2);
-  if (warm && adam_state_) trainer.import_optimizer_state(*adam_state_);
-  return train_regressor(plan, trainer, opts);
-}
-
-FitOptions QorPredictor::refit_defaults() {
-  FitOptions opts;
-  opts.warm_start = true;
-  opts.epochs = 6;
-  opts.validation = FitOptions::Validation::kFinalEpoch;
-  return opts;
-}
-
-FitReport QorPredictor::refit(const std::vector<Sample>& new_samples,
-                              const FitOptions& opts) {
-  GNNHLS_CHECK(regressor_ != nullptr && !corpus_.empty(), "refit before fit");
-  GNNHLS_CHECK(!new_samples.empty(), "refit: no feedback samples");
-  tune_malloc_for_tensor_workloads();
-  ++refits_;
-  const std::uint64_t gen = static_cast<std::uint64_t>(refits_);
-  const std::uint64_t seed = opts.seed != 0 ? opts.seed : fit_seed_;
-
-  // Pay the delta's feature construction once, up front, in input order —
-  // every later touch (plan assembly, scoring) is a FeatureCache hit.
-  FeatureCache::global().warm(new_samples, approach_);
-
-  const int base = static_cast<int>(corpus_.size());
-  corpus_.insert(corpus_.end(), new_samples.begin(), new_samples.end());
-  std::vector<int> delta_idx(new_samples.size());
-  std::iota(delta_idx.begin(), delta_idx.end(), base);
-
-  if (!opts.warm_start) {
-    // Cold refit: retrain from a fresh seeded init over the grown corpus
-    // (the -I classifier is kept either way — feedback refits sharpen the
-    // regressor only).
-    Rng init_rng(seed * 104729 + static_cast<int>(metric_));
-    regressor_ = std::make_unique<GraphRegressor>(
-        model_cfg_, InputFeatureBuilder::feature_dim(approach_), init_rng);
-    adam_state_.reset();
-  }
-
-  const auto feature_of = [this](const Sample& s) -> const Matrix& {
-    return FeatureCache::global().features(s, approach_);
-  };
-  const auto label_of = [this](const Sample& s) {
-    return Matrix(1, 1, encode_target(metric_of(s.truth, metric_), metric_));
-  };
-
-  // The delta becomes its own segment with generation-salted seeds (pure
-  // functions of (fit seed, generation): refit trajectories are reproducible
-  // but decorrelated across rounds).
-  const std::uint64_t seg_seed = seed * 31 + 1 + gen * 0x9E3779B9ULL;
-  BatchPlan::Segment seg;
-  seg.idx = delta_idx;
-  seg.order_seed = seg_seed;
-  seg.share_key = BatchPlan::share_key(
-      "train/reg/a" + std::to_string(static_cast<int>(approach_)), seg_seed,
-      train_cfg_.batch_size, corpus_, delta_idx);
-  segments_.push_back(std::move(seg));
-
-  BatchPlan plan =
-      train_cfg_.batch_size <= 1
-          // Legacy mode has no unions to reuse; train the concatenated
-          // index list through the plain per-sample path.
-          ? [&] {
-              std::vector<int> all;
-              for (const BatchPlan::Segment& s : segments_) {
-                all.insert(all.end(), s.idx.begin(), s.idx.end());
-              }
-              return BatchPlan::build(corpus_, all, train_cfg_.batch_size,
-                                      feature_of, label_of, Rng(seg_seed));
-            }()
-          : BatchPlan::build_segments(corpus_, segments_,
-                                      train_cfg_.batch_size, feature_of,
-                                      label_of, Rng(seed * 31 + 11 + gen));
-
-  Trainer trainer(*regressor_, train_cfg_, regressor_hooks(*regressor_),
-                  seed * 17 + 2 + gen * 0x85EBCA6BULL);
-  if (opts.warm_start && adam_state_) {
-    trainer.import_optimizer_state(*adam_state_);
-  }
-  return train_regressor(plan, trainer, opts);
+  // Lower validation MAPE wins. NOTE: -I validates through the full
+  // hierarchical path (classifier bits), matching deployment.
+  return fit_with_epoch_selection(
+      *regressor_, plan, trainer, /*higher_is_better=*/false,
+      [&] { return evaluate_mape(samples, split.val); });
 }
 
 double QorPredictor::predict(const Sample& sample) const {
@@ -392,7 +269,7 @@ double QorPredictor::evaluate_mape(const std::vector<Sample>& samples,
     }
   } else {
     // Sharded evaluation: the chunk unions come from an eval-side BatchPlan
-    // (cores shared across epochs and refits via the BatchCoreCache) and
+    // (cores shared across epochs and fits via the BatchCoreCache) and
     // the per-chunk forwards fan out on the thread pool, each filling its
     // own pre-sized slot range. Chunk boundaries and per-chunk math are
     // exactly the serial loop's, so the result is bit-identical to serial
@@ -431,31 +308,22 @@ NodeTypePredictor::NodeTypePredictor(ModelConfig model_cfg,
 
 FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
                                  const SplitIndices& split,
-                                 const FitOptions& opts) {
+                                 const FitOptions& /*opts*/) {
   tune_malloc_for_tensor_workloads();
-  const std::uint64_t seed = opts.seed != 0 ? opts.seed : train_cfg_.seed;
-  const bool warm = opts.warm_start && classifier_ != nullptr;
-  if (!warm) {
-    Rng init_rng(seed * 7919 + 13);
-    classifier_ = std::make_unique<NodeClassifier>(
-        model_cfg_, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf),
-        init_rng);
-    adam_state_.reset();
-  }
-  TrainConfig tc = train_cfg_;
-  tc.seed = seed;
-  BatchPlan plan = classifier_plan(samples, split.train, tc);
-  Trainer trainer(*classifier_, tc, classifier_hooks(*classifier_),
+  const std::uint64_t seed = train_cfg_.seed;
+  Rng init_rng(seed * 7919 + 13);
+  classifier_ = std::make_unique<NodeClassifier>(
+      model_cfg_, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf),
+      init_rng);
+  BatchPlan plan = classifier_plan(samples, split.train, train_cfg_);
+  Trainer trainer(*classifier_, train_cfg_, classifier_hooks(*classifier_),
                   seed * 17 + 3);
-  if (warm && adam_state_) trainer.import_optimizer_state(*adam_state_);
   // Higher validation mean accuracy wins.
   return fit_with_epoch_selection(
-      *classifier_, plan, trainer, opts, /*higher_is_better=*/true,
-      [&] {
+      *classifier_, plan, trainer, /*higher_is_better=*/true, [&] {
         const NodeClassifierScores val = evaluate(samples, split.val);
         return (val.dsp + val.lut + val.ff) / 3.0;
-      },
-      adam_state_);
+      });
 }
 
 NodeClassifierScores NodeTypePredictor::evaluate(

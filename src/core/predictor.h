@@ -18,19 +18,9 @@
 // tensors (FeatureCache) and delegates the epochs to the sharded Trainer;
 // this file keeps only model construction, validation-driven model
 // selection, and inference.
-//
-// Online refit (model-in-the-loop DSE): fit() retains the corpus, split and
-// the selected epoch's optimizer moments; refit(new_samples, opts) then
-// appends ground-truth feedback as a new BatchPlan *segment* — prior
-// segments' unions come back as BatchCoreCache hits, only the delta is
-// assembled — and continues training warm-started from the selected model's
-// weights and Adam state. The refit trajectory is a pure function of
-// (checkpoint, feedback samples, FitOptions), so it inherits the Trainer's
-// bit-identity across thread and shard counts.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/metrics.h"
@@ -53,38 +43,11 @@ class QorPredictor {
                InfusedInference infused = InfusedInference::kSelfInferred);
 
   /// Trains (classifier first for -I, then regressor) on samples[split.train]
-  /// for one metric under the given options. Fresh fits (re)initialize the
-  /// model from the effective seed (opts.seed, else TrainConfig::seed);
-  /// opts.warm_start continues from the current weights + Adam moments when
-  /// the model has already been fitted. Validation runs per epoch; the
-  /// validation policy decides whether the best epoch's parameters (and
-  /// optimizer state) are restored. Retains the corpus and split for
-  /// subsequent refit() calls.
+  /// for one metric, from a fresh init seeded by TrainConfig::seed.
+  /// Validation MAPE over samples[split.val] runs per epoch, and the best
+  /// epoch's parameters are restored at the end.
   FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
                 Metric metric, const FitOptions& opts);
-
-  /// Online refit: appends `new_samples` (ground truth gathered since the
-  /// last fit/refit, e.g. a DSE round's HLS results) to the retained corpus
-  /// as a fresh training segment and continues training. With
-  /// opts.warm_start (the default policy) the regressor resumes from the
-  /// selected weights + Adam moments; otherwise it re-initializes and
-  /// retrains over the grown corpus. Prior segments' batch unions are
-  /// BatchCoreCache hits and the delta's features are warmed through the
-  /// FeatureCache, so a refit costs O(delta assembly + epochs), not a
-  /// from-scratch rebuild. The -I hierarchy keeps its classifier: feedback
-  /// refits sharpen the regressor only. Validation still scores the
-  /// original split.val.
-  FitReport refit(const std::vector<Sample>& new_samples,
-                  const FitOptions& opts = refit_defaults());
-
-  /// The refit() policy tuned for DSE feedback rounds: warm start, a small
-  /// epoch budget, final-epoch validation (feedback is drawn from the
-  /// explored design space, so the original validation split no longer
-  /// selects well for it).
-  static FitOptions refit_defaults();
-
-  /// Number of refit() calls since the last fresh fit.
-  int refits() const { return refits_; }
 
   /// Decoded QoR prediction for one sample (for -I, runs hierarchical
   /// inference: classifier -> annotated features -> regressor).
@@ -131,13 +94,7 @@ class QorPredictor {
   Matrix infused_features(const Sample& s) const;
 
   void fit_classifier(const std::vector<Sample>& samples,
-                      const std::vector<int>& train_idx, std::uint64_t seed);
-
-  /// Shared epoch loop: runs the trainer, tracks per-epoch validation, and
-  /// applies the FitOptions validation policy (parameter + optimizer-state
-  /// restore on kBestEpoch).
-  FitReport train_regressor(BatchPlan& plan, Trainer& trainer,
-                            const FitOptions& opts);
+                      const std::vector<int>& train_idx);
 
   Approach approach_;
   ModelConfig model_cfg_;
@@ -146,16 +103,6 @@ class QorPredictor {
   Metric metric_ = Metric::kLut;
   std::unique_ptr<NodeClassifier> classifier_;  // only for -I
   std::unique_ptr<GraphRegressor> regressor_;
-
-  // --- refit state (valid after fit) ---
-  std::vector<Sample> corpus_;  // training-time samples + appended feedback
-  SplitIndices split_;          // indices into corpus_ (val/test stay fixed)
-  /// One entry per training segment: [0] the original split.train, then one
-  /// per refit delta. Each pins the share_key its fit resolved cores under.
-  std::vector<BatchPlan::Segment> segments_;
-  std::optional<AdamState> adam_state_;  // selected epoch's optimizer moments
-  std::uint64_t fit_seed_ = 0;           // effective seed of the last fresh fit
-  int refits_ = 0;
 };
 
 // ----- node-level classification (paper Table 3) -----
@@ -171,10 +118,9 @@ class NodeTypePredictor {
  public:
   NodeTypePredictor(ModelConfig model_cfg, TrainConfig train_cfg);
 
-  /// Trains on samples[split.train] under the given options (seed override,
-  /// epoch budget, warm start from the current classifier, validation
-  /// policy — kBestEpoch selects by validation mean accuracy, higher
-  /// better). FitReport::val_curve carries the per-epoch mean accuracy.
+  /// Trains on samples[split.train] from a fresh init and restores the
+  /// epoch with the highest validation mean accuracy.
+  /// FitReport::val_curve carries the per-epoch mean accuracy.
   FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
                 const FitOptions& opts);
 
@@ -187,7 +133,6 @@ class NodeTypePredictor {
   ModelConfig model_cfg_;
   TrainConfig train_cfg_;
   std::unique_ptr<NodeClassifier> classifier_;
-  std::optional<AdamState> adam_state_;  // selected epoch's optimizer moments
 };
 
 // ----- parameter snapshot/restore for best-epoch selection -----

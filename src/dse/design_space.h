@@ -75,7 +75,7 @@ class DesignSpace {
   /// zero until the explorer synthesizes the point. (Off-the-shelf and
   /// self-inferred knowledge-infused features are pure functions of the
   /// lowering, so predictors can score candidates that were never
-  /// synthesized — the whole point of model-in-the-loop DSE.)
+  /// synthesized — the whole point of predictor-guided DSE.)
   Sample lower_candidate(const DesignPoint& p) const;
 
   /// Lowers every enumerated point, in enumeration order, across the

@@ -1,14 +1,13 @@
 #include "dse/explorer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "hls/hls_flow.h"
 #include "obs/trace.h"
 #include "support/check.h"
 #include "support/parallel.h"
+#include "train/feature_cache.h"
 
 namespace gnnhls {
 
@@ -16,47 +15,29 @@ namespace gnnhls {
 
 void ModelTable::add(Metric metric, const QorPredictor* model) {
   GNNHLS_CHECK(model != nullptr, "ModelTable: null model");
-  GNNHLS_CHECK(find(metric) == nullptr, "ModelTable: duplicate metric entry");
-  Entry entry;
-  entry.metric = metric;
-  entry.members.push_back(model);
-  entries_.push_back(std::move(entry));
+  GNNHLS_CHECK(!has(metric), "ModelTable: duplicate metric entry");
+  entries_.emplace_back(metric, model);
 }
 
-void ModelTable::add(Metric metric, const QorEnsemble* ensemble) {
-  GNNHLS_CHECK(ensemble != nullptr, "ModelTable: null ensemble");
-  GNNHLS_CHECK(find(metric) == nullptr, "ModelTable: duplicate metric entry");
-  Entry entry;
-  entry.metric = metric;
-  for (int k = 0; k < ensemble->size(); ++k) {
-    entry.members.push_back(&ensemble->member(k));
+bool ModelTable::has(Metric metric) const {
+  for (const auto& [m, model] : entries_) {
+    if (m == metric) return true;
   }
-  entries_.push_back(std::move(entry));
+  return false;
 }
 
-const ModelTable::Entry* ModelTable::find(Metric metric) const {
-  for (const Entry& e : entries_) {
-    if (e.metric == metric) return &e;
+const QorPredictor& ModelTable::model(Metric metric) const {
+  for (const auto& [m, model] : entries_) {
+    if (m == metric) return *model;
   }
-  return nullptr;
-}
-
-bool ModelTable::has(Metric metric) const { return find(metric) != nullptr; }
-
-const std::vector<const QorPredictor*>& ModelTable::members(
-    Metric metric) const {
-  const Entry* e = find(metric);
-  if (e == nullptr) {
-    throw std::invalid_argument("ModelTable: no model for metric " +
-                                metric_name(metric));
-  }
-  return e->members;
+  throw std::invalid_argument("ModelTable: no model for metric " +
+                              metric_name(metric));
 }
 
 std::vector<Metric> ModelTable::metrics() const {
   std::vector<Metric> out;
   out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.metric);
+  for (const auto& entry : entries_) out.push_back(entry.first);
   return out;
 }
 
@@ -76,32 +57,10 @@ PredictorScorer::PredictorScorer(
 
 std::vector<ScoreResult> PredictorScorer::score(
     Metric metric, const std::vector<const Sample*>& samples) const {
-  const std::vector<const QorPredictor*>& members = table_.members(metric);
-  const std::size_t n = samples.size();
-  const std::size_t k_members = members.size();
-  // One batched forward per member, fixed registration order, then the
-  // same double-precision mean / population-std aggregation as QorEnsemble
-  // — a single-member metric scores uncertainty 0.0 and its means bitwise
-  // match QorPredictor::predict.
-  std::vector<std::vector<double>> per_member(k_members);
-  for (std::size_t k = 0; k < k_members; ++k) {
-    per_member[k] = members[k]->predict_many(samples);
-    GNNHLS_CHECK_EQ(per_member[k].size(), n, "scorer member output size");
-  }
-  std::vector<ScoreResult> out(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double sum = 0.0;
-    for (std::size_t k = 0; k < k_members; ++k) sum += per_member[k][j];
-    const double mean = sum / static_cast<double>(k_members);
-    double sq = 0.0;
-    for (std::size_t k = 0; k < k_members; ++k) {
-      const double d = per_member[k][j] - mean;
-      sq += d * d;
-    }
-    out[j].mean = mean;
-    out[j].uncertainty =
-        k_members > 1 ? std::sqrt(sq / static_cast<double>(k_members)) : 0.0;
-  }
+  const std::vector<double> pred = table_.model(metric).predict_many(samples);
+  GNNHLS_CHECK_EQ(pred.size(), samples.size(), "scorer output size");
+  std::vector<ScoreResult> out(pred.size());
+  for (std::size_t j = 0; j < pred.size(); ++j) out[j].mean = pred[j];
   return out;
 }
 
@@ -132,7 +91,13 @@ Explorer::Explorer(const DesignSpace& space, const Scorer& scorer,
   base_candidates_.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     base_candidates_.push_back(
-        DseCandidate{points[i], std::move(lowered[i]), {}, {}, false, 0.0});
+        DseCandidate{points[i], std::move(lowered[i]), {}, false, 0.0});
+  }
+}
+
+Explorer::~Explorer() {
+  for (const DseCandidate& c : base_candidates_) {
+    FeatureCache::global().evict(c.sample.uid);
   }
 }
 
@@ -161,7 +126,6 @@ void Explorer::score_round(std::vector<DseCandidate>& candidates,
     for (std::size_t j = 0; j < subset.size(); ++j) {
       DseCandidate& c = candidates[static_cast<std::size_t>(subset[j])];
       c.predicted[static_cast<std::size_t>(m)] = pred[j].mean;
-      c.uncertainty[static_cast<std::size_t>(m)] = pred[j].uncertainty;
     }
     ++r.scorer_calls;
     r.scored_graphs += static_cast<int>(subset.size());
@@ -244,31 +208,6 @@ DseResult Explorer::exhaustive() const {
   return r;
 }
 
-double Explorer::acquisition_key(const DseCandidate& c,
-                                 Acquisition acq) const {
-  const std::size_t m = static_cast<std::size_t>(cfg_.rank_metric);
-  if (acq == Acquisition::kUncertaintyBonus) {
-    // LCB on a lower-is-better metric: a candidate the members disagree on
-    // ranks better than its mean alone — exploration credit.
-    return c.predicted[m] - cfg_.active.beta * c.uncertainty[m];
-  }
-  return c.predicted[m];
-}
-
-std::vector<int> Explorer::by_acquisition(
-    const std::vector<DseCandidate>& candidates, std::vector<int> set,
-    Acquisition acq) const {
-  std::sort(set.begin(), set.end(), [&](int a, int b) {
-    const double ka =
-        acquisition_key(candidates[static_cast<std::size_t>(a)], acq);
-    const double kb =
-        acquisition_key(candidates[static_cast<std::size_t>(b)], acq);
-    if (ka != kb) return ka < kb;
-    return a < b;  // deterministic tie-break: lower index survives
-  });
-  return set;
-}
-
 DseResult Explorer::successive_halving() const {
   DseResult r;
   r.candidates = base_candidates_;
@@ -284,10 +223,13 @@ DseResult Explorer::successive_halving() const {
     const ObsSpan round_span(cfg_.obs.trace, "halving_round", "dse");
     const int keep = std::max(
         cfg_.top_k, (static_cast<int>(survivors.size()) + 1) / 2);
-    // The static baseline always prunes by predicted rank, whatever
-    // cfg_.active says — it IS the no-feedback reference.
-    survivors = by_acquisition(r.candidates, std::move(survivors),
-                               Acquisition::kPredictedRank);
+    const std::size_t m = static_cast<std::size_t>(cfg_.rank_metric);
+    std::sort(survivors.begin(), survivors.end(), [&](int a, int b) {
+      const double ka = r.candidates[static_cast<std::size_t>(a)].predicted[m];
+      const double kb = r.candidates[static_cast<std::size_t>(b)].predicted[m];
+      if (ka != kb) return ka < kb;
+      return a < b;  // deterministic tie-break: lower index survives
+    });
     survivors.resize(static_cast<std::size_t>(keep));
     std::sort(survivors.begin(), survivors.end());
     r.survivors_per_round.push_back(keep);
@@ -298,123 +240,6 @@ DseResult Explorer::successive_halving() const {
   synthesize(r.candidates, survivors, r);
   finalize(r, survivors);
   return r;
-}
-
-DseResult Explorer::active_halving(const RefitFn& refit_model) const {
-  GNNHLS_CHECK(refit_model != nullptr, "active_halving: null refit fn");
-  const ActiveConfig& ac = cfg_.active;
-  GNNHLS_CHECK(ac.feedback_rounds >= 0,
-               "active_halving: feedback_rounds must be >= 0");
-  GNNHLS_CHECK(ac.feedback_per_round >= 0,
-               "active_halving: feedback_per_round must be >= 0");
-
-  DseResult r;
-  r.acquisition = ac.acquisition;
-  r.candidates = base_candidates_;
-  const int n = static_cast<int>(r.candidates.size());
-  std::vector<int> survivors = all_indices(n);
-  r.survivors_per_round.push_back(n);
-  score_round(r.candidates, survivors, scored_metrics(), r);
-
-  // The WHOLE loop spends successive halving's ground-truth budget, no
-  // more: early feedback synthesis and the final round draw from one pot,
-  // so active vs. static comparisons are budget-equal by construction.
-  int budget_left = std::min(n, cfg_.top_k);
-  int rounds_left = ac.feedback_rounds;
-  const int per_round =
-      ac.feedback_per_round > 0
-          ? ac.feedback_per_round
-          : std::max(1, cfg_.top_k / (ac.feedback_rounds + 1));
-
-  while (static_cast<int>(survivors.size()) > cfg_.top_k) {
-    const ObsSpan round_span(cfg_.obs.trace, "halving_round", "dse");
-    const int keep = std::max(
-        cfg_.top_k, (static_cast<int>(survivors.size()) + 1) / 2);
-    survivors =
-        by_acquisition(r.candidates, std::move(survivors), ac.acquisition);
-    survivors.resize(static_cast<std::size_t>(keep));
-    std::sort(survivors.begin(), survivors.end());
-    r.survivors_per_round.push_back(keep);
-    if (keep > cfg_.top_k) {
-      if (rounds_left > 0 && budget_left > 0) {
-        --rounds_left;
-        // Feedback: synthesize the acquisition-best unsynthesized
-        // survivors early — the points most likely to matter at the end,
-        // so the spent budget usually lands inside the final set anyway —
-        // and refit on their fresh ground truth.
-        std::vector<int> feed;
-        const int want = std::min(per_round, budget_left);
-        for (int i :
-             by_acquisition(r.candidates, survivors, ac.acquisition)) {
-          if (static_cast<int>(feed.size()) >= want) break;
-          if (!r.candidates[static_cast<std::size_t>(i)].synthesized) {
-            feed.push_back(i);
-          }
-        }
-        if (!feed.empty()) {
-          std::sort(feed.begin(), feed.end());
-          synthesize(r.candidates, feed, r);
-          budget_left -= static_cast<int>(feed.size());
-          std::vector<Sample> delta;
-          delta.reserve(feed.size());
-          for (int i : feed) {
-            delta.push_back(r.candidates[static_cast<std::size_t>(i)].sample);
-          }
-          const ObsSpan refit_span(cfg_.obs.trace, "refit", "dse");
-          r.refit_reports.push_back(refit_model(delta));
-          ++r.refits;
-          r.fed_back.push_back(std::move(feed));
-        }
-      }
-      // Survivors re-score through the refitted model: THE feedback payoff
-      // (without feedback this call is successive halving's, value for
-      // value).
-      score_round(r.candidates, survivors, {cfg_.rank_metric}, r);
-    }
-  }
-
-  // Final round: the remaining budget goes to the acquisition-best
-  // unsynthesized survivors. Spent + remaining always equals the static
-  // budget: every fed-back candidate either survived (saving its cost
-  // here) or paid for the information that pruned it.
-  std::vector<int> to_synth;
-  for (int i : by_acquisition(r.candidates, survivors, ac.acquisition)) {
-    if (static_cast<int>(to_synth.size()) >= budget_left) break;
-    if (!r.candidates[static_cast<std::size_t>(i)].synthesized) {
-      to_synth.push_back(i);
-    }
-  }
-  std::sort(to_synth.begin(), to_synth.end());
-  if (!to_synth.empty()) synthesize(r.candidates, to_synth, r);
-
-  // Ground truth basis = every synthesized candidate: early-synthesized
-  // points keep their (already paid for) truth even when later pruned.
-  std::vector<int> synthesized;
-  for (int i = 0; i < n; ++i) {
-    if (r.candidates[static_cast<std::size_t>(i)].synthesized) {
-      synthesized.push_back(i);
-    }
-  }
-  finalize(r, synthesized);
-  return r;
-}
-
-DseResult Explorer::active_halving(QorPredictor& model) const {
-  GNNHLS_CHECK(model.metric() == cfg_.rank_metric,
-               "active_halving: model fitted for a different metric than "
-               "rank_metric");
-  return active_halving([&](const std::vector<Sample>& delta) {
-    return model.refit(delta, cfg_.active.refit);
-  });
-}
-
-DseResult Explorer::active_halving(QorEnsemble& model) const {
-  GNNHLS_CHECK(model.metric() == cfg_.rank_metric,
-               "active_halving: ensemble fitted for a different metric than "
-               "rank_metric");
-  return active_halving([&](const std::vector<Sample>& delta) {
-    return model.refit(delta, cfg_.active.refit);
-  });
 }
 
 }  // namespace gnnhls

@@ -1,4 +1,4 @@
-// Model-in-the-loop design-space exploration.
+// Predictor-guided design-space exploration.
 //
 // The Explorer turns a DesignSpace into ranked, Pareto-annotated results
 // using a trained QoR predictor as the cheap fidelity and the HLS flow as
@@ -12,60 +12,36 @@
 //   * strategies: `exhaustive` synthesizes every point (the ground-truth
 //     sweep DSE exists to avoid); `successive_halving` prunes the candidate
 //     set by predicted rank each round and invokes the HLS flow only on the
-//     surviving top-k; `active_halving` closes the loop — part of the same
-//     synthesis budget is spent DURING pruning, and each round's fresh
-//     ground truth refits the rank-metric model before the next scoring
-//     round, so later pruning decisions come from a sharper predictor at
-//     zero extra HLS cost (total hls_runs stays exactly successive
-//     halving's).
+//     surviving top-k.
 //
 // Determinism contract: a DseResult is a pure function of (space, trained
 // model, config) — candidate order, predicted values, fronts and the
-// halving trace never depend on thread count. active_halving extends this
-// through the feedback loop: refits inherit the Trainer's bit-identity, so
-// the whole active trace is reproducible across pool widths given fixed
-// seeds.
+// halving trace never depend on thread count.
 #pragma once
 
 #include <array>
-#include <functional>
 #include <utility>
 #include <vector>
 
-#include "core/ensemble.h"
 #include "core/predictor.h"
 #include "dse/design_space.h"
 #include "dse/pareto.h"
 
 namespace gnnhls {
 
-/// One scored/synthesized candidate. `predicted`/`uncertainty` hold the
-/// scorer's decoded mean and dispersion indexed by Metric (0 until that
-/// metric is scored; uncertainty stays 0 under single-model scorers);
-/// `sample.truth` is valid only when `synthesized`.
+/// One scored/synthesized candidate. `predicted` holds the scorer's decoded
+/// values indexed by Metric (0 until that metric is scored); `sample.truth`
+/// is valid only when `synthesized`.
 struct DseCandidate {
   DesignPoint point;
   Sample sample;
   std::array<double, kNumMetrics> predicted{};
-  std::array<double, kNumMetrics> uncertainty{};
   bool synthesized = false;
   double latency_cycles = 0.0;
 };
 
-/// How active_halving (and its pruning sorts) ranks candidates.
-enum class Acquisition {
-  /// Predicted rank-metric mean, lower better — successive halving's rule.
-  kPredictedRank,
-  /// Lower-confidence-bound style: mean - beta * uncertainty. A candidate
-  /// the ensemble disagrees on sorts better than its mean alone would
-  /// place it, steering part of the synthesis budget toward informative
-  /// points. Needs an ensemble scorer to differ from kPredictedRank.
-  kUncertaintyBonus,
-};
-
 /// Outcome of one exploration strategy. All index vectors refer to
-/// `candidates` (enumeration order) and are sorted ascending (the per-round
-/// `fed_back` entries too).
+/// `candidates` (enumeration order) and are sorted ascending.
 struct DseResult {
   std::vector<DseCandidate> candidates;
   /// Non-dominated set on *true* QoR over the synthesized candidates.
@@ -82,56 +58,42 @@ struct DseResult {
   int scored_graphs = 0;
   /// Candidate-set size after each halving round (exhaustive: one entry).
   std::vector<int> survivors_per_round;
-
-  // --- active-loop trace (populated by active_halving only) ---
-  /// Model refits performed (== fed_back.size() == refit_reports.size()).
-  int refits = 0;
-  /// Candidate indices synthesized early and fed back, one entry per
-  /// feedback round, each sorted ascending.
-  std::vector<std::vector<int>> fed_back;
-  /// What each refit reported (epochs run, warm start, val curve).
-  std::vector<FitReport> refit_reports;
-  /// The acquisition strategy that drove pruning and feedback selection.
-  Acquisition acquisition = Acquisition::kPredictedRank;
 };
 
-/// The (metric -> ensemble members) table a PredictorScorer scores from:
-/// single predictors register one member, ensembles register all of
-/// theirs. Registration order is scoring order; models are borrowed and
-/// must be fitted and outlive the table's users.
+/// The (metric -> predictor) table a PredictorScorer scores from.
+/// Registration order is scoring order; models are borrowed and must be
+/// fitted and outlive the table's users.
 class ModelTable {
  public:
   ModelTable() = default;
 
-  /// Registers a single predictor (one member) for `metric`.
+  /// Registers `model` for `metric` (one model per metric).
   void add(Metric metric, const QorPredictor* model);
-  /// Registers every ensemble member for `metric`.
-  void add(Metric metric, const QorEnsemble* ensemble);
 
   bool has(Metric metric) const;
-  /// Members registered for `metric`, in registration order. Throws
-  /// std::invalid_argument when the metric has no entry.
-  const std::vector<const QorPredictor*>& members(Metric metric) const;
+  /// The model registered for `metric`. Throws std::invalid_argument when
+  /// the metric has no entry.
+  const QorPredictor& model(Metric metric) const;
   /// Registered metrics in registration order.
   std::vector<Metric> metrics() const;
 
  private:
-  struct Entry {
-    Metric metric;
-    std::vector<const QorPredictor*> members;
-  };
-  const Entry* find(Metric metric) const;
-  std::vector<Entry> entries_;
+  std::vector<std::pair<Metric, const QorPredictor*>> entries_;
+};
+
+/// One scored prediction: the scorer's decoded value.
+struct ScoreResult {
+  double mean = 0.0;
 };
 
 /// Batched prediction source: one call scores one metric over a candidate
-/// slice, returning mean + uncertainty per sample. Implementations must be
-/// deterministic and safe to call from the exploring thread only.
+/// slice. Implementations must be deterministic and safe to call from the
+/// exploring thread only.
 class Scorer {
  public:
   virtual ~Scorer() = default;
   /// Decoded ScoreResults for `metric`, in input order, via one batched
-  /// model entry per ensemble member. Throws if `metric` has no model.
+  /// model entry. Throws if `metric` has no model.
   virtual std::vector<ScoreResult> score(
       Metric metric, const std::vector<const Sample*>& samples) const = 0;
   /// Metrics this scorer can serve, in registration order.
@@ -139,16 +101,14 @@ class Scorer {
 };
 
 /// Scores through direct QorPredictor::predict_many calls over a
-/// ModelTable: score() runs one batched forward per registered member
-/// (fixed registration order) and aggregates them into ScoreResults exactly
-/// like QorEnsemble (double accumulation, population std; single-member
-/// metrics score uncertainty 0.0). Models are borrowed: they must be
-/// fitted, and outlive the scorer.
+/// ModelTable: score() runs one batched forward of the metric's model, so
+/// every value bitwise matches QorPredictor::predict. Models are borrowed:
+/// they must be fitted, and outlive the scorer.
 class PredictorScorer : public Scorer {
  public:
   explicit PredictorScorer(ModelTable table);
-  /// One-model-per-metric convenience form: each (metric, predictor) pair
-  /// becomes a single-member ModelTable entry, in order.
+  /// Convenience form: each (metric, predictor) pair becomes a ModelTable
+  /// entry, in order.
   explicit PredictorScorer(
       const std::vector<std::pair<Metric, const QorPredictor*>>& models);
 
@@ -161,26 +121,6 @@ class PredictorScorer : public Scorer {
   ModelTable table_;
 };
 
-/// active_halving's feedback policy.
-struct ActiveConfig {
-  /// Feedback (synthesize -> refit -> re-score) rounds to interleave with
-  /// pruning. 0 reduces active_halving to successive_halving exactly (same
-  /// trace, same budget) under kPredictedRank acquisition.
-  int feedback_rounds = 1;
-  /// Candidates synthesized early per feedback round; 0 picks
-  /// max(1, top_k / (feedback_rounds + 1)) — spreading the budget so the
-  /// final round still synthesizes fresh survivors. Feedback always spends
-  /// from the SAME top_k budget: total hls_runs stays successive halving's.
-  int feedback_per_round = 0;
-  /// Uncertainty weight of Acquisition::kUncertaintyBonus (LCB beta).
-  double beta = 1.0;
-  /// Candidate ranking for pruning AND feedback selection.
-  Acquisition acquisition = Acquisition::kPredictedRank;
-  /// Passed to the model's refit() each feedback round (warm start, small
-  /// epoch budget, final-epoch validation by default).
-  FitOptions refit = QorPredictor::refit_defaults();
-};
-
 struct DseConfig {
   /// Axes of the Pareto fronts (order = axis order; duplicates rejected).
   std::vector<Metric> front_metrics = {Metric::kLut, Metric::kFf};
@@ -189,8 +129,6 @@ struct DseConfig {
   /// Ground-truth synthesis budget of successive halving (>= 1): pruning
   /// halves the candidate set until at most top_k points survive.
   int top_k = 4;
-  /// Model-in-the-loop knobs (active_halving only).
-  ActiveConfig active;
   /// Observability knobs (obs/obs_config.h): obs.trace emits
   /// halving_round / score_round / synthesize spans when the process-wide
   /// TraceCollector is active. Execution-only: DseResult is unchanged.
@@ -207,6 +145,12 @@ class Explorer {
   /// holds one feature matrix per candidate per Explorer, not per run.
   Explorer(const DesignSpace& space, const Scorer& scorer,
            DseConfig cfg = {});
+  /// Evicts the candidates' FeatureCache entries: their uids are private
+  /// to this explorer, and no reference to the entries outlives its own
+  /// (synchronous) score calls.
+  ~Explorer();
+  Explorer(const Explorer&) = delete;
+  Explorer& operator=(const Explorer&) = delete;
 
   /// Scores + synthesizes EVERY candidate; fronts and best are computed
   /// on full ground truth (hls_runs == space.size()).
@@ -219,32 +163,6 @@ class Explorer {
   /// run. front/best are computed on the survivors' truth.
   DseResult successive_halving() const;
 
-  /// Refits the rank-metric model on a freshly synthesized feedback delta.
-  /// Receives the delta (candidate samples with truth filled in) and
-  /// returns the refit's report. MUST update the same model the scorer
-  /// reads for rank_metric — the loop's whole point is that the next
-  /// score_round sees the sharpened model.
-  using RefitFn = std::function<FitReport(const std::vector<Sample>&)>;
-
-  /// Model-in-the-loop pruning at successive halving's exact ground-truth
-  /// budget. Per pruning round (cfg.active, while feedback rounds remain):
-  /// synthesize the acquisition-best unsynthesized survivors early, feed
-  /// their truth to `refit_model`, then re-score the survivors through the
-  /// (now sharper) model before the next prune. The final round spends
-  /// whatever budget remains on the surviving set; fronts/best are computed
-  /// over every synthesized candidate — early-synthesized points keep their
-  /// truth even if later pruned. With feedback_rounds == 0 and
-  /// kPredictedRank acquisition this is successive_halving exactly, trace
-  /// for trace. The full feedback history lands in the DseResult
-  /// (refits / fed_back / refit_reports / acquisition).
-  DseResult active_halving(const RefitFn& refit_model) const;
-
-  /// Convenience: feeds the delta to model.refit(delta, cfg.active.refit).
-  /// The model must be the one the scorer serves for rank_metric (checked
-  /// against its fitted metric).
-  DseResult active_halving(QorPredictor& model) const;
-  DseResult active_halving(QorEnsemble& model) const;
-
   const DseConfig& config() const { return cfg_; }
 
  private:
@@ -252,14 +170,6 @@ class Explorer {
   void score_round(std::vector<DseCandidate>& candidates,
                    const std::vector<int>& subset,
                    const std::vector<Metric>& metrics, DseResult& r) const;
-  /// The sort key one acquisition strategy assigns a candidate (lower is
-  /// better). successive_halving always ranks kPredictedRank; active paths
-  /// rank cfg.active.acquisition.
-  double acquisition_key(const DseCandidate& c, Acquisition acq) const;
-  /// `set` sorted by acquisition key, ties to the lower index.
-  std::vector<int> by_acquisition(const std::vector<DseCandidate>& candidates,
-                                  std::vector<int> set,
-                                  Acquisition acq) const;
   /// Ground-truth HLS flow over candidates[subset], in parallel shards.
   void synthesize(std::vector<DseCandidate>& candidates,
                   const std::vector<int>& subset, DseResult& r) const;

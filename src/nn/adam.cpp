@@ -71,29 +71,4 @@ void Adam::zero_grad() {
   for (auto* p : params_) p->zero_grad();
 }
 
-AdamState Adam::export_state() const {
-  AdamState state;
-  state.m = m_;
-  state.v = v_;
-  state.t = t_;
-  return state;
-}
-
-void Adam::import_state(const AdamState& state) {
-  GNNHLS_CHECK_EQ(state.m.size(), params_.size(),
-                  "import_state: first-moment / parameter count mismatch");
-  GNNHLS_CHECK_EQ(state.v.size(), params_.size(),
-                  "import_state: second-moment / parameter count mismatch");
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    GNNHLS_CHECK(state.m[k].rows() == params_[k]->value().rows() &&
-                     state.m[k].cols() == params_[k]->value().cols() &&
-                     state.v[k].rows() == params_[k]->value().rows() &&
-                     state.v[k].cols() == params_[k]->value().cols(),
-                 "import_state: moment shape mismatch");
-  }
-  m_ = state.m;
-  v_ = state.v;
-  t_ = state.t;
-}
-
 }  // namespace gnnhls

@@ -17,17 +17,6 @@ struct AdamConfig {
   float grad_clip = 0.0F;     // 0 disables; otherwise global-norm clip
 };
 
-/// A resumable snapshot of the optimizer: first/second moments and the
-/// bias-correction step counter. Exported/imported by warm-started refits
-/// (train/fit_options.h) so continuing training reproduces the trajectory
-/// an uninterrupted run would have taken — moments carry the gradient
-/// history a fresh Adam would have to re-estimate.
-struct AdamState {
-  std::vector<Matrix> m;
-  std::vector<Matrix> v;
-  long t = 0;
-};
-
 class Adam {
  public:
   Adam(std::vector<Parameter*> params, AdamConfig config);
@@ -49,14 +38,6 @@ class Adam {
                    std::size_t active = static_cast<std::size_t>(-1));
 
   void zero_grad();
-
-  /// Copies out the current moments + step counter (see AdamState).
-  AdamState export_state() const;
-
-  /// Resumes from a snapshot taken by export_state() on an optimizer over
-  /// the same parameter list. Shape-checked: a mismatched snapshot (different
-  /// model architecture) is a caller bug, not a soft reset.
-  void import_state(const AdamState& state);
 
   const AdamConfig& config() const { return config_; }
   void set_lr(float lr) { config_.lr = lr; }

@@ -194,70 +194,6 @@ BatchPlan BatchPlan::build(const std::vector<Sample>& samples,
   return plan;
 }
 
-BatchPlan BatchPlan::build_segments(const std::vector<Sample>& samples,
-                                    const std::vector<Segment>& segments,
-                                    int batch_size,
-                                    const FeatureFn& feature_of,
-                                    const LabelFn& label_of, Rng rotation_rng) {
-  GNNHLS_CHECK(!segments.empty(), "build_segments: no segments");
-  GNNHLS_CHECK(batch_size >= 2, "build_segments: needs batched mode");
-  BatchPlan plan(rotation_rng);
-  plan.samples_ = &samples;
-  plan.batch_size_ = batch_size;
-
-  // Resolve each segment's cores independently: same shuffle + chunking a
-  // plain build() over (idx, order_seed) would produce, so a segment that
-  // was previously fitted under the same share_key is a cache hit and only
-  // genuinely new segments pay assembly.
-  std::vector<std::vector<int>> all_chunks;
-  std::vector<BatchCorePtr> all_cores;
-  for (const Segment& seg : segments) {
-    GNNHLS_CHECK(!seg.idx.empty(), "build_segments: empty segment");
-    std::vector<int> order = seg.idx;
-    Rng seg_rng(seg.order_seed);
-    seg_rng.shuffle(order);
-    const std::vector<std::vector<int>> chunks =
-        chunk_membership(order, batch_size);
-    const std::vector<BatchCorePtr> cores =
-        cores_for(samples, chunks, feature_of, seg.share_key);
-    GNNHLS_CHECK_EQ(cores.size(), chunks.size(), "build_segments: core count");
-    all_chunks.insert(all_chunks.end(), chunks.begin(), chunks.end());
-    all_cores.insert(all_cores.end(), cores.begin(), cores.end());
-  }
-
-  // Per-plan labels over the union of segment members (metric-specific, so
-  // never shared).
-  std::vector<Matrix> labels(samples.size());
-  for (const std::vector<int>& chunk : all_chunks) {
-    for (int i : chunk) {
-      if (labels[static_cast<std::size_t>(i)].empty()) {
-        labels[static_cast<std::size_t>(i)] =
-            label_of(samples[static_cast<std::size_t>(i)]);
-      }
-    }
-  }
-  plan.items_.resize(all_chunks.size());
-  for (std::size_t b = 0; b < all_chunks.size(); ++b) {
-#ifndef NDEBUG
-    GNNHLS_CHECK(
-        all_cores[b]->members == all_chunks[b],
-        "build_segments: cached core membership mismatch (bad share_key)");
-#endif
-    Item& item = plan.items_[b];
-    item.core = all_cores[b];
-    std::vector<const Matrix*> lparts;
-    lparts.reserve(all_chunks[b].size());
-    for (int i : all_chunks[b]) {
-      lparts.push_back(&labels[static_cast<std::size_t>(i)]);
-    }
-    item.labels = GraphBatch::stack_features(lparts);
-  }
-
-  plan.batch_order_.resize(plan.items_.size());
-  std::iota(plan.batch_order_.begin(), plan.batch_order_.end(), 0);
-  return plan;
-}
-
 BatchPlan BatchPlan::build_eval(const std::vector<Sample>& samples,
                                 const std::vector<int>& idx, int batch_size,
                                 const FeatureFn& feature_of,

@@ -15,7 +15,7 @@
 // union plus the stacked feature matrix — is additionally a pure function of
 // the feature variant. That immutable half lives in a BatchCore; plans built
 // with a non-empty share_key route their cores through the process-wide
-// BatchCoreCache, so same-split refits (e.g. the same corpus fitted per
+// BatchCoreCache, so same-split fits (e.g. the same corpus fitted per
 // metric, or per-epoch validation evaluation) reuse one assembly instead of
 // rebuilding identical unions. Labels stay per-plan (they encode the fitted
 // metric). Cache hits change nothing numerically: the membership shuffle
@@ -105,33 +105,6 @@ class BatchPlan {
                          const std::vector<int>& train_idx, int batch_size,
                          const FeatureFn& feature_of, const LabelFn& label_of,
                          Rng order_rng, const std::string& share_key = {});
-
-  /// One independently-shuffled, independently-cached slice of a segmented
-  /// plan (see build_segments). A refit models its corpus as segments —
-  /// [original training set, feedback round 1, feedback round 2, ...] —
-  /// where every previously-fitted segment keys the exact cores its own fit
-  /// built, so growing the corpus re-assembles only the new segment's
-  /// unions.
-  struct Segment {
-    std::vector<int> idx;            // sample indices into `samples`
-    std::uint64_t order_seed = 0;    // membership-shuffle seed (this segment)
-    std::string share_key;           // BatchCoreCache key; "" = don't share
-  };
-
-  /// Builds a rotation whose batches are the concatenation of each segment's
-  /// independently chunked membership: segment s's idx is shuffled with
-  /// Rng(s.order_seed), chunked to batch_size, and its cores resolved
-  /// through s.share_key — a segment whose (idx, order_seed, batch_size,
-  /// feature variant) match a prior build()/build_segments() call is a pure
-  /// cache hit, which is what makes refit deltas cheap. Epoch 0 visits the
-  /// concatenated build order; later epochs reshuffle the visit order with
-  /// rotation_rng (membership never changes). Labels are rebuilt per plan.
-  /// Batched mode only (batch_size >= 2); batch boundaries never span
-  /// segments, so trailing partial batches per segment are kept as-is.
-  static BatchPlan build_segments(const std::vector<Sample>& samples,
-                                  const std::vector<Segment>& segments,
-                                  int batch_size, const FeatureFn& feature_of,
-                                  const LabelFn& label_of, Rng rotation_rng);
 
   /// Evaluation-side plan: consecutive chunks of `idx` in input order (no
   /// shuffle, no labels, no rotation), sharing the same core cache. Used by

@@ -43,14 +43,6 @@ class FeatureCache {
   /// Memoized InputFeatureBuilder::node_type_labels(s.graph()).
   const Matrix& node_type_labels(const Sample& s);
 
-  /// Bulk prefetch: builds and caches features(s, a) for every sample, in
-  /// input order (a deterministic fill order keeps hit/miss accounting
-  /// reproducible). Returns the number of entries that were newly built.
-  /// Refit rounds warm the feedback delta here before plan assembly so the
-  /// new samples' feature construction is paid once, up front, off the
-  /// training path.
-  std::size_t warm(const std::vector<Sample>& samples, Approach a);
-
   /// Drops every entry (tests; long-lived processes discarding a dataset).
   /// Invalidates every outstanding reference: must not race with fits,
   /// evaluations or a live ServingScheduler that could still read them.
@@ -58,8 +50,9 @@ class FeatureCache {
 
   /// Drops every variant cached for one sample uid. Invalidates references
   /// to those entries only — the TCP endpoint calls this after a decoded
-  /// request's response is written (each wire sample mints a fresh uid, so
-  /// without eviction a long-running server grows the cache per request).
+  /// request's response is written, and an Explorer for each of its
+  /// candidates on destruction (both mint fresh uids, so without eviction a
+  /// long-running process grows the cache per request or exploration).
   void evict(std::uint64_t uid);
 
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }

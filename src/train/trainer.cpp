@@ -33,10 +33,7 @@ Trainer::Trainer(Module& model, TrainConfig cfg, Hooks hooks,
     : model_(model),
       cfg_(cfg),
       hooks_(std::move(hooks)),
-      dropout_seed_(dropout_seed),
-      opt_(model, AdamConfig{.lr = cfg.lr,
-                             .weight_decay = cfg.weight_decay,
-                             .grad_clip = cfg.grad_clip}) {
+      dropout_seed_(dropout_seed) {
   GNNHLS_CHECK(hooks_.forward && hooks_.loss, "Trainer: missing hooks");
   param_leaves_.reserve(model_.parameters().size());
   for (const Parameter* p : model_.parameters()) {
@@ -44,33 +41,26 @@ Trainer::Trainer(Module& model, TrainConfig cfg, Hooks hooks,
   }
 }
 
-void Trainer::import_optimizer_state(const AdamState& state) {
-  opt_.import_state(state);
-  warm_started_ = true;
-}
-
-FitReport Trainer::fit(BatchPlan& plan, const FitOptions& opts,
+FitReport Trainer::fit(BatchPlan& plan, const FitOptions& /*opts*/,
                        const std::function<void(int)>& on_epoch_end) {
-  const int epochs = opts.epochs >= 0 ? opts.epochs : cfg_.epochs;
-  // Warm starts resume moments but restart the lr schedule over THIS call's
-  // budget: a refit is its own short anneal, not a continuation of the
-  // original schedule (whose decay points were sized for the full budget).
-  const long steps_before = opt_.step_count();
+  const int epochs = cfg_.epochs;
+  Adam opt(model_, AdamConfig{.lr = cfg_.lr,
+                              .weight_decay = cfg_.weight_decay,
+                              .grad_clip = cfg_.grad_clip});
   Rng dropout_rng(dropout_seed_);
   for (int epoch = 0; epoch < epochs; ++epoch) {
     const ObsSpan epoch_span(cfg_.obs.trace, "epoch", "train");
-    opt_.set_lr(lr_at_epoch(cfg_.lr, epoch, epochs));
+    opt.set_lr(lr_at_epoch(cfg_.lr, epoch, epochs));
     if (plan.batched()) {
-      run_batched_epoch(plan, opt_, epoch);
+      run_batched_epoch(plan, opt, epoch);
     } else {
-      run_legacy_epoch(plan, opt_, dropout_rng);
+      run_legacy_epoch(plan, opt, dropout_rng);
     }
     if (on_epoch_end) on_epoch_end(epoch);
   }
   FitReport report;
   report.epochs_run = epochs;
-  report.steps = opt_.step_count() - steps_before;
-  report.warm_started = warm_started_;
+  report.steps = opt.step_count();
   return report;
 }
 

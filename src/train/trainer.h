@@ -107,28 +107,14 @@ class Trainer {
   Trainer(Module& model, TrainConfig cfg, Hooks hooks,
           std::uint64_t dropout_seed);
 
-  /// Runs the epoch budget (opts.epochs when >= 0, else TrainConfig::epochs)
-  /// over the plan. on_epoch_end(epoch) fires after each epoch's optimizer
-  /// steps — validation, model selection and early snapshots live with the
-  /// caller, which fills FitReport's validation fields; the Trainer fills
-  /// epochs_run / steps / warm_started. Model init, plan construction and
-  /// dropout_seed were resolved by the owner before this call, so of
-  /// FitOptions only the epoch budget acts here: warm starts are expressed
-  /// by handing the Trainer a previously-trained model plus
-  /// import_optimizer_state(), both the owner's job.
+  /// Runs the TrainConfig::epochs budget over the plan. on_epoch_end(epoch)
+  /// fires after each epoch's optimizer steps — validation, model selection
+  /// and early snapshots live with the caller, which fills FitReport's
+  /// validation fields; the Trainer fills epochs_run / steps. Model init,
+  /// plan construction and dropout_seed were resolved by the owner before
+  /// this call.
   FitReport fit(BatchPlan& plan, const FitOptions& opts,
                 const std::function<void(int)>& on_epoch_end);
-
-  /// Resumes the optimizer from a snapshot (same model architecture) so the
-  /// next fit() continues the Adam trajectory instead of restarting the
-  /// moment estimates. Call before fit(); marks the run warm-started.
-  void import_optimizer_state(const AdamState& state);
-
-  /// Snapshots the optimizer moments + step counter. Callable from
-  /// on_epoch_end, which runs at a step barrier — the canonical use is
-  /// capturing the best-validation epoch's optimizer state alongside the
-  /// parameter snapshot so a later refit resumes from the *selected* model.
-  AdamState export_optimizer_state() const { return opt_.export_state(); }
 
  private:
   void run_legacy_epoch(BatchPlan& plan, Adam& opt, Rng& dropout_rng);
@@ -139,10 +125,6 @@ class Trainer {
   Hooks hooks_;
   std::uint64_t dropout_seed_;
   std::vector<Var> param_leaves_;
-  /// The optimizer lives with the Trainer (not a fit() local) so warm-started
-  /// refits can seed its moments and on_epoch_end can snapshot them.
-  Adam opt_;
-  bool warm_started_ = false;
   /// Per-batch gradient buffers, reused across steps and epochs (shaped and
   /// zeroed by each LeafGradRedirect scope).
   std::vector<std::vector<Matrix>> step_grads_;

@@ -4,11 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
+#include <string>
 
 #include "dse/explorer.h"
 #include "suites/variants.h"
 #include "support/parallel.h"
+#include "train/feature_cache.h"
 
 namespace gnnhls {
 namespace {
@@ -130,54 +131,29 @@ struct Trained {
   QorPredictor ff;
 };
 
-/// Training corpus + configs shared by every model the explorer tests fit
-/// (including the fresh per-test models active-loop tests need, since
-/// refitting mutates a model in place).
-struct TrainSetup {
-  std::vector<Sample> corpus;
-  SplitIndices split;
-  ModelConfig mc;
-  TrainConfig tc;
-};
-
-const TrainSetup& train_setup() {
-  static const TrainSetup* setup = [] {
-    auto* s = new TrainSetup;
-    SyntheticDatasetConfig dc;
-    dc.kind = GraphKind::kCdfg;
-    dc.num_graphs = 60;
-    dc.seed = 33;
-    s->corpus = build_synthetic_dataset(dc);
-    s->split = split_80_10_10(static_cast<int>(s->corpus.size()), 3);
-    s->mc.kind = GnnKind::kRgcn;
-    s->mc.hidden = 16;
-    s->mc.layers = 2;
-    s->tc.epochs = 6;
-    s->tc.lr = 1e-2F;
-    s->tc.batch_size = 8;
-    return s;
-  }();
-  return *setup;
-}
-
-/// A freshly fitted predictor, bitwise identical on every call — the model
-/// active-loop tests hand to active_halving (which refits it in place).
-QorPredictor fresh_predictor(Metric metric) {
-  const TrainSetup& s = train_setup();
-  QorPredictor p(Approach::kOffTheShelf, s.mc, s.tc);
-  p.fit(s.corpus, s.split, metric, FitOptions{});
-  return p;
-}
-
 /// One tiny LUT + FF predictor pair, trained once and shared by all
 /// read-only explorer tests (fitting dominates test runtime).
 const Trained& trained_predictors() {
   static const Trained* trained = [] {
-    const TrainSetup& s = train_setup();
-    auto* t = new Trained{QorPredictor(Approach::kOffTheShelf, s.mc, s.tc),
-                          QorPredictor(Approach::kOffTheShelf, s.mc, s.tc)};
-    t->lut.fit(s.corpus, s.split, Metric::kLut, FitOptions{});
-    t->ff.fit(s.corpus, s.split, Metric::kFf, FitOptions{});
+    SyntheticDatasetConfig dc;
+    dc.kind = GraphKind::kCdfg;
+    dc.num_graphs = 60;
+    dc.seed = 33;
+    const std::vector<Sample> corpus = build_synthetic_dataset(dc);
+    const SplitIndices split =
+        split_80_10_10(static_cast<int>(corpus.size()), 3);
+    ModelConfig mc;
+    mc.kind = GnnKind::kRgcn;
+    mc.hidden = 16;
+    mc.layers = 2;
+    TrainConfig tc;
+    tc.epochs = 6;
+    tc.lr = 1e-2F;
+    tc.batch_size = 8;
+    auto* t = new Trained{QorPredictor(Approach::kOffTheShelf, mc, tc),
+                          QorPredictor(Approach::kOffTheShelf, mc, tc)};
+    t->lut.fit(corpus, split, Metric::kLut, FitOptions{});
+    t->ff.fit(corpus, split, Metric::kFf, FitOptions{});
     return t;
   }();
   return *trained;
@@ -201,7 +177,6 @@ void expect_identical_results(const DseResult& a, const DseResult& b) {
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
     EXPECT_EQ(a.candidates[i].point.label(), b.candidates[i].point.label());
     EXPECT_EQ(a.candidates[i].predicted, b.candidates[i].predicted);
-    EXPECT_EQ(a.candidates[i].uncertainty, b.candidates[i].uncertainty);
     EXPECT_EQ(a.candidates[i].synthesized, b.candidates[i].synthesized);
     EXPECT_EQ(a.candidates[i].latency_cycles, b.candidates[i].latency_cycles);
     for (Metric m : kAllMetrics) {
@@ -213,16 +188,9 @@ void expect_identical_results(const DseResult& a, const DseResult& b) {
   EXPECT_EQ(a.predicted_front, b.predicted_front);
   EXPECT_EQ(a.best, b.best);
   EXPECT_EQ(a.hls_runs, b.hls_runs);
+  EXPECT_EQ(a.scorer_calls, b.scorer_calls);
+  EXPECT_EQ(a.scored_graphs, b.scored_graphs);
   EXPECT_EQ(a.survivors_per_round, b.survivors_per_round);
-  // Active-loop trace (empty/default for the static strategies).
-  EXPECT_EQ(a.refits, b.refits);
-  EXPECT_EQ(a.fed_back, b.fed_back);
-  EXPECT_EQ(a.acquisition, b.acquisition);
-  ASSERT_EQ(a.refit_reports.size(), b.refit_reports.size());
-  for (std::size_t i = 0; i < a.refit_reports.size(); ++i) {
-    EXPECT_EQ(a.refit_reports[i].epochs_run, b.refit_reports[i].epochs_run);
-    EXPECT_EQ(a.refit_reports[i].steps, b.refit_reports[i].steps);
-  }
 }
 
 TEST(ExplorerTest, ExhaustiveSynthesizesEveryPoint) {
@@ -249,47 +217,129 @@ TEST(ExplorerTest, ExhaustiveSynthesizesEveryPoint) {
   }
 }
 
-TEST(ExplorerTest, BitIdenticalAcrossThreadCounts) {
-  const DesignSpace space = small_space();
-  const PredictorScorer scorer = direct_scorer();
-  DseResult serial_exh, serial_sh;
-  {
-    PoolGuard guard(1);
-    // Construct inside the guard: candidate lowering happens at
-    // construction and must be width-invariant too.
-    const Explorer explorer(space, scorer);
-    serial_exh = explorer.exhaustive();
-    serial_sh = explorer.successive_halving();
+/// One (space, budget) configuration of the halving gate. The grid runs
+/// well beyond the 16-candidate CI smoke space: sizes 4, 12, >= 72 and
+/// >= 240, each at top_k 1 and n/4, over more than one kernel.
+struct HalvingCase {
+  std::string kernel;
+  KnobGrid grid;
+  int top_k = 1;
+};
+
+std::string describe(const HalvingCase& c) {
+  return c.kernel + " n=" + std::to_string(c.grid.size()) +
+         " top_k=" + std::to_string(c.top_k);
+}
+
+std::vector<HalvingCase> halving_cases() {
+  KnobGrid four;
+  four.unroll = {1, 2};
+  four.bitwidth = {8, 16};
+  const std::vector<std::pair<std::string, KnobGrid>> spaces = {
+      {"gemm", four},
+      {"fir", four},
+      {"gemm", KnobGrid{}},  // 12 points
+      {"stencil", KnobGrid{}},
+      {"fir", grid_with_at_least(72)},
+      {"stencil", grid_with_at_least(240)},
+  };
+  std::vector<HalvingCase> cases;
+  for (const auto& [kernel, grid] : spaces) {
+    const int quarter = std::max(1, static_cast<int>(grid.size()) / 4);
+    cases.push_back(HalvingCase{kernel, grid, 1});
+    if (quarter > 1) cases.push_back(HalvingCase{kernel, grid, quarter});
   }
-  {
-    PoolGuard guard(4);
-    const Explorer explorer(space, scorer);
-    expect_identical_results(serial_exh, explorer.exhaustive());
-    expect_identical_results(serial_sh, explorer.successive_halving());
+  return cases;
+}
+
+TEST(ExplorerTest, BitIdenticalAcrossThreadCounts) {
+  const PredictorScorer scorer = direct_scorer();
+  for (const HalvingCase& c : halving_cases()) {
+    SCOPED_TRACE(describe(c));
+    const DesignSpace space = make_kernel_design_space(c.kernel, c.grid);
+    DseConfig cfg;
+    cfg.top_k = c.top_k;
+    // exhaustive ignores top_k and synthesizes every point: run it once per
+    // small space (the large spaces' n/4 halving runs already shard their
+    // synthesis across the pool).
+    const bool with_exhaustive = c.top_k == 1 && c.grid.size() <= 12;
+    DseResult serial_exh, serial_sh;
+    {
+      PoolGuard guard(1);
+      // Construct inside the guard: candidate lowering happens at
+      // construction and must be width-invariant too.
+      const Explorer explorer(space, scorer, cfg);
+      if (with_exhaustive) serial_exh = explorer.exhaustive();
+      serial_sh = explorer.successive_halving();
+    }
+    {
+      PoolGuard guard(4);
+      const Explorer explorer(space, scorer, cfg);
+      if (with_exhaustive) {
+        expect_identical_results(serial_exh, explorer.exhaustive());
+      }
+      expect_identical_results(serial_sh, explorer.successive_halving());
+    }
   }
 }
 
 TEST(ExplorerTest, HalvingRespectsGroundTruthBudget) {
-  const DesignSpace space = make_kernel_design_space("gemm");  // 12 points
   const PredictorScorer scorer = direct_scorer();
-  DseConfig cfg;
-  cfg.top_k = 3;
-  const Explorer explorer(space, scorer, cfg);
-  const DseResult r = explorer.successive_halving();
-  EXPECT_EQ(r.survivors_per_round, (std::vector<int>{12, 6, 3}));
-  EXPECT_EQ(r.hls_runs, 3);
-  int synthesized = 0;
-  for (const DseCandidate& c : r.candidates) synthesized += c.synthesized;
-  EXPECT_EQ(synthesized, 3);
-  // The front only contains synthesized survivors, and best is one of them.
-  for (int i : r.front) {
-    EXPECT_TRUE(r.candidates[static_cast<std::size_t>(i)].synthesized);
+  for (const HalvingCase& c : halving_cases()) {
+    SCOPED_TRACE(describe(c));
+    const DesignSpace space = make_kernel_design_space(c.kernel, c.grid);
+    const int n = static_cast<int>(space.size());
+    DseConfig cfg;
+    cfg.top_k = c.top_k;
+    const Explorer explorer(space, scorer, cfg);
+    const DseResult r = explorer.successive_halving();
+    ASSERT_EQ(static_cast<int>(r.candidates.size()), n);
+
+    // Survivors follow s -> max(top_k, ceil(s / 2)) until s <= top_k; every
+    // round that still prunes afterwards re-scores the rank metric only.
+    std::vector<int> rounds = {n};
+    int scorer_calls = 2;  // round 0 scores LUT + FF over the full space
+    int scored_graphs = 2 * n;
+    while (rounds.back() > c.top_k) {
+      const int keep = std::max(c.top_k, (rounds.back() + 1) / 2);
+      rounds.push_back(keep);
+      if (keep > c.top_k) {
+        ++scorer_calls;
+        scored_graphs += keep;
+      }
+    }
+    EXPECT_EQ(r.survivors_per_round, rounds);
+    EXPECT_EQ(r.hls_runs, std::min(n, c.top_k));
+    EXPECT_EQ(r.scorer_calls, scorer_calls);
+    EXPECT_EQ(r.scored_graphs, scored_graphs);
+
+    // Only survivors are synthesized: predictions are identical every
+    // round, so the survivors are the predicted-best min(n, top_k)
+    // candidates overall, ties to the lower index.
+    std::vector<int> order = all_indices(n);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return r.candidates[static_cast<std::size_t>(a)]
+                 .predicted[static_cast<std::size_t>(Metric::kLut)] <
+             r.candidates[static_cast<std::size_t>(b)]
+                 .predicted[static_cast<std::size_t>(Metric::kLut)];
+    });
+    order.resize(static_cast<std::size_t>(std::min(n, c.top_k)));
+    std::vector<int> synthesized;
+    for (int i = 0; i < n; ++i) {
+      if (r.candidates[static_cast<std::size_t>(i)].synthesized) {
+        synthesized.push_back(i);
+      }
+    }
+    std::sort(order.begin(), order.end());
+    EXPECT_EQ(synthesized, order);
+
+    // front and best are drawn from the synthesized survivors only.
+    for (int i : r.front) {
+      EXPECT_TRUE(r.candidates[static_cast<std::size_t>(i)].synthesized);
+    }
+    ASSERT_GE(r.best, 0);
+    EXPECT_TRUE(r.candidates[static_cast<std::size_t>(r.best)].synthesized);
   }
-  ASSERT_GE(r.best, 0);
-  EXPECT_TRUE(r.candidates[static_cast<std::size_t>(r.best)].synthesized);
-  // Rounds 0 scored 2 metrics over 12; round 1 re-scored 1 metric over 6.
-  EXPECT_EQ(r.scorer_calls, 3);
-  EXPECT_EQ(r.scored_graphs, 2 * 12 + 6);
 }
 
 TEST(ExplorerTest, HalvingAgreesWithExhaustiveOnPredictions) {
@@ -342,220 +392,31 @@ TEST(ModelTableTest, RegistrationAndLookup) {
   table.add(Metric::kLut, &t.lut);
   EXPECT_TRUE(table.has(Metric::kLut));
   EXPECT_THROW(table.add(Metric::kLut, &t.ff), std::invalid_argument);
+  EXPECT_THROW(table.add(Metric::kDsp, nullptr), std::invalid_argument);
   table.add(Metric::kFf, &t.ff);
-  EXPECT_EQ(table.members(Metric::kLut),
-            (std::vector<const QorPredictor*>{&t.lut}));
+  EXPECT_EQ(&table.model(Metric::kLut), &t.lut);
+  EXPECT_EQ(&table.model(Metric::kFf), &t.ff);
   EXPECT_EQ(table.metrics(),
             (std::vector<Metric>{Metric::kLut, Metric::kFf}));
-  EXPECT_THROW(table.members(Metric::kDsp), std::invalid_argument);
+  EXPECT_THROW(table.model(Metric::kDsp), std::invalid_argument);
 }
 
-TEST(ModelTableTest, EnsembleRegistersEveryMember) {
-  const TrainSetup& s = train_setup();
-  const QorEnsemble ensemble(Approach::kOffTheShelf, s.mc, s.tc, 3);
-  ModelTable table;
-  table.add(Metric::kLut, &ensemble);
-  ASSERT_EQ(table.members(Metric::kLut).size(), 3u);
-  for (int k = 0; k < 3; ++k) {
-    EXPECT_EQ(table.members(Metric::kLut)[static_cast<std::size_t>(k)],
-              &ensemble.member(k));
-  }
-}
+// ----- FeatureCache lifetime -----
 
-// ----- QorEnsemble -----
-
-TEST(EnsembleTest, EnsembleOfOneIsBitwiseTheSingleModel) {
-  const TrainSetup& s = train_setup();
-  QorPredictor single = fresh_predictor(Metric::kLut);
-  QorEnsemble one(Approach::kOffTheShelf, s.mc, s.tc, 1);
-  one.fit(s.corpus, s.split, Metric::kLut, FitOptions{});
-  std::vector<const Sample*> ptrs;
-  for (int i : s.split.val) {
-    ptrs.push_back(&s.corpus[static_cast<std::size_t>(i)]);
-  }
-  std::vector<double> want = single.predict_many(ptrs);
-  std::vector<ScoreResult> got = one.score_many(ptrs);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t j = 0; j < got.size(); ++j) {
-    EXPECT_EQ(got[j].mean, want[j]);
-    EXPECT_EQ(got[j].uncertainty, 0.0);
-  }
-  // ... and the parity survives an identical refit on the same delta.
-  const std::vector<Sample> delta(s.corpus.begin(), s.corpus.begin() + 4);
-  single.refit(delta);
-  one.refit(delta);
-  want = single.predict_many(ptrs);
-  got = one.score_many(ptrs);
-  for (std::size_t j = 0; j < got.size(); ++j) {
-    EXPECT_EQ(got[j].mean, want[j]);
-  }
-}
-
-TEST(EnsembleTest, MembersDisagreeAndAggregateDeterministically) {
-  const TrainSetup& s = train_setup();
-  QorEnsemble ensemble(Approach::kOffTheShelf, s.mc, s.tc, 3);
-  EXPECT_EQ(ensemble.size(), 3);
-  ensemble.fit(s.corpus, s.split, Metric::kLut, FitOptions{});
-  EXPECT_EQ(ensemble.metric(), Metric::kLut);
-  std::vector<const Sample*> ptrs;
-  for (int i : s.split.val) {
-    ptrs.push_back(&s.corpus[static_cast<std::size_t>(i)]);
-  }
-  const std::vector<ScoreResult> scored = ensemble.score_many(ptrs);
-  // Seed-offset members genuinely disagree: dispersion is visible.
-  double max_unc = 0.0;
-  for (const ScoreResult& r : scored) max_unc = std::max(max_unc, r.uncertainty);
-  EXPECT_GT(max_unc, 0.0);
-  // The mean sits inside the member envelope.
-  for (std::size_t j = 0; j < ptrs.size(); ++j) {
-    double lo = std::numeric_limits<double>::infinity(), hi = -lo;
-    for (int k = 0; k < 3; ++k) {
-      const double v = ensemble.member(k).predict(*ptrs[j]);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    EXPECT_GE(scored[j].mean, lo);
-    EXPECT_LE(scored[j].mean, hi);
-  }
-  // Scoring is a pure function: byte-identical on repeat.
-  const std::vector<ScoreResult> again = ensemble.score_many(ptrs);
-  for (std::size_t j = 0; j < scored.size(); ++j) {
-    EXPECT_EQ(scored[j].mean, again[j].mean);
-    EXPECT_EQ(scored[j].uncertainty, again[j].uncertainty);
-  }
-}
-
-// ----- active_halving -----
-
-TEST(ExplorerTest, ActiveWithZeroFeedbackEqualsStatic) {
-  const DesignSpace space = make_kernel_design_space("gemm");  // 12 points
-  const PredictorScorer scorer = direct_scorer();
-  DseConfig cfg;
-  cfg.top_k = 3;
-  cfg.active.feedback_rounds = 0;
-  const Explorer explorer(space, scorer, cfg);
-  const DseResult stat = explorer.successive_halving();
-  const DseResult active = explorer.active_halving(
-      [](const std::vector<Sample>&) -> FitReport {
-        ADD_FAILURE() << "refit must not run with feedback_rounds == 0";
-        return {};
-      });
-  expect_identical_results(stat, active);
-  EXPECT_EQ(active.refits, 0);
-  EXPECT_TRUE(active.fed_back.empty());
-}
-
-TEST(ExplorerTest, ActiveHalvingBudgetAndTrace) {
-  const Trained& t = trained_predictors();
-  QorPredictor lut = fresh_predictor(Metric::kLut);
-  const PredictorScorer scorer(
-      {{Metric::kLut, &lut}, {Metric::kFf, &t.ff}});
-  const DesignSpace space = make_kernel_design_space("gemm");  // 12 points
-  DseConfig cfg;
-  cfg.top_k = 3;
-  cfg.active.feedback_rounds = 1;
-  const Explorer explorer(space, scorer, cfg);
-  const DseResult r = explorer.active_halving(lut);
-  // Budget-exact: feedback spends from successive halving's pot.
-  EXPECT_EQ(r.hls_runs, 3);
-  int synthesized = 0;
-  for (const DseCandidate& c : r.candidates) synthesized += c.synthesized;
-  EXPECT_EQ(synthesized, 3);
-  EXPECT_EQ(r.survivors_per_round, (std::vector<int>{12, 6, 3}));
-  // Trace: one feedback round of max(1, top_k / 2) = 1 candidate.
-  EXPECT_EQ(r.refits, 1);
-  EXPECT_EQ(lut.refits(), 1);
-  ASSERT_EQ(r.fed_back.size(), 1u);
-  EXPECT_EQ(r.fed_back[0].size(), 1u);
-  ASSERT_EQ(r.refit_reports.size(), 1u);
-  EXPECT_TRUE(r.refit_reports[0].warm_started);
-  EXPECT_EQ(r.refit_reports[0].epochs_run,
-            QorPredictor::refit_defaults().epochs);
-  EXPECT_EQ(r.acquisition, Acquisition::kPredictedRank);
-  // Fed-back candidates are synthesized, and their truth counts: front /
-  // best are drawn from every synthesized point.
-  for (int i : r.fed_back[0]) {
-    EXPECT_TRUE(r.candidates[static_cast<std::size_t>(i)].synthesized);
-  }
-  ASSERT_GE(r.best, 0);
-  EXPECT_TRUE(r.candidates[static_cast<std::size_t>(r.best)].synthesized);
-  // Single-model scorer: uncertainty stays exactly zero everywhere.
-  for (const DseCandidate& c : r.candidates) {
-    for (double u : c.uncertainty) EXPECT_EQ(u, 0.0);
-  }
-}
-
-TEST(ExplorerTest, ActiveBitIdenticalAcrossThreadCounts) {
-  const Trained& t = trained_predictors();
+TEST(ExplorerTest, EvictsFeatureCacheEntriesOnDestruction) {
+  const PredictorScorer scorer = direct_scorer();  // fits before the baseline
   const DesignSpace space = make_kernel_design_space("gemm");
-  DseConfig cfg;
-  cfg.top_k = 3;
-  cfg.active.feedback_rounds = 2;
-  DseResult serial;
+  const std::size_t baseline = FeatureCache::global().entries();
   {
-    PoolGuard guard(1);
-    // Fit AND explore inside the guard: the fit, the refits and the
-    // scoring rounds must all be width-invariant for the traces to match.
-    QorPredictor lut = fresh_predictor(Metric::kLut);
-    const PredictorScorer scorer(
-        {{Metric::kLut, &lut}, {Metric::kFf, &t.ff}});
+    DseConfig cfg;
+    cfg.top_k = 3;
     const Explorer explorer(space, scorer, cfg);
-    serial = explorer.active_halving(lut);
+    const DseResult r = explorer.successive_halving();
+    EXPECT_EQ(r.hls_runs, 3);
+    // Scoring cached one feature matrix per candidate.
+    EXPECT_EQ(FeatureCache::global().entries(), baseline + space.size());
   }
-  {
-    PoolGuard guard(4);
-    QorPredictor lut = fresh_predictor(Metric::kLut);
-    const PredictorScorer scorer(
-        {{Metric::kLut, &lut}, {Metric::kFf, &t.ff}});
-    const Explorer explorer(space, scorer, cfg);
-    expect_identical_results(serial, explorer.active_halving(lut));
-  }
-  EXPECT_GE(serial.refits, 1);
-}
-
-TEST(ExplorerTest, ActiveEnsembleUncertaintyBonus) {
-  const Trained& t = trained_predictors();
-  const TrainSetup& s = train_setup();
-  QorEnsemble ensemble(Approach::kOffTheShelf, s.mc, s.tc, 2);
-  ensemble.fit(s.corpus, s.split, Metric::kLut, FitOptions{});
-  ModelTable table;
-  table.add(Metric::kLut, &ensemble);
-  table.add(Metric::kFf, &t.ff);
-  const PredictorScorer scorer(std::move(table));
-  const DesignSpace space = make_kernel_design_space("gemm");
-  DseConfig cfg;
-  cfg.top_k = 3;
-  cfg.active.acquisition = Acquisition::kUncertaintyBonus;
-  cfg.active.beta = 1.0;
-  const Explorer explorer(space, scorer, cfg);
-  const DseResult r = explorer.active_halving(ensemble);
-  EXPECT_EQ(r.acquisition, Acquisition::kUncertaintyBonus);
-  EXPECT_EQ(r.hls_runs, 3);  // acquisition changes choices, never budget
-  EXPECT_GE(r.refits, 1);
-  // The ensemble's dispersion reached the candidates' rank metric.
-  double max_unc = 0.0;
-  for (const DseCandidate& c : r.candidates) {
-    max_unc = std::max(
-        max_unc, c.uncertainty[static_cast<std::size_t>(Metric::kLut)]);
-  }
-  EXPECT_GT(max_unc, 0.0);
-}
-
-TEST(ExplorerTest, ActiveValidation) {
-  const DesignSpace space = small_space();
-  const PredictorScorer scorer = direct_scorer();
-  const Explorer explorer(space, scorer);
-  EXPECT_THROW(explorer.active_halving(Explorer::RefitFn{}),
-               std::invalid_argument);
-  // Convenience overload rejects a model fitted for a different metric.
-  QorPredictor ff = fresh_predictor(Metric::kFf);
-  EXPECT_THROW(explorer.active_halving(ff), std::invalid_argument);
-  DseConfig bad;
-  bad.active.feedback_rounds = -1;
-  const Explorer bad_explorer(space, scorer, bad);
-  EXPECT_THROW(bad_explorer.active_halving(
-                   [](const std::vector<Sample>&) { return FitReport{}; }),
-               std::invalid_argument);
+  EXPECT_EQ(FeatureCache::global().entries(), baseline);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // to shards=1), BatchPlan membership stability across epoch rotations, and
 // FeatureCache hit semantics.
 #include <algorithm>
-#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -131,9 +130,9 @@ TEST(ShardedTrainingTest, ShardCountBeyondBatchesIsClamped) {
   EXPECT_TRUE(std::isfinite(report.best_val));
 }
 
-// ----- FitOptions / online refit -----
+// ----- FitReport -----
 
-TEST(RefitTest, FitReportCurveAndBestEpoch) {
+TEST(FitReportTest, FitReportCurveAndBestEpoch) {
   const auto samples = small_corpus(30, 515);
   const SplitIndices split =
       split_80_10_10(static_cast<int>(samples.size()), 2);
@@ -147,7 +146,6 @@ TEST(RefitTest, FitReportCurveAndBestEpoch) {
   tc.batch_size = 4;
   QorPredictor p(Approach::kOffTheShelf, mc, tc);
   const FitReport report = p.fit(samples, split, Metric::kLut, FitOptions{});
-  EXPECT_FALSE(report.warm_started);
   EXPECT_EQ(report.epochs_run, tc.epochs);
   EXPECT_GT(report.steps, 0);
   ASSERT_EQ(report.val_curve.size(), static_cast<std::size_t>(tc.epochs));
@@ -158,122 +156,12 @@ TEST(RefitTest, FitReportCurveAndBestEpoch) {
                               report.val_curve.end()));
   EXPECT_EQ(report.best_val,
             report.val_curve[static_cast<std::size_t>(report.best_epoch)]);
-  // kBestEpoch restored the selected checkpoint: deployed validation MAPE
+  // Best-epoch selection restored that checkpoint: deployed validation MAPE
   // is the best epoch's, not the final one's.
   EXPECT_EQ(p.evaluate_mape(samples, split.val), report.best_val);
 }
 
-TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
-  const auto samples = small_corpus(36, 808);
-  const auto delta = small_corpus(8, 909);  // fresh ground truth to feed back
-  const SplitIndices split =
-      split_80_10_10(static_cast<int>(samples.size()), 4);
-  ModelConfig mc;
-  mc.kind = GnnKind::kGcn;
-  mc.hidden = 16;
-  mc.layers = 2;
-  mc.dropout = 0.2F;  // dropout streams must survive the refit re-seeding
-  TrainConfig tc;
-  tc.epochs = 4;
-  tc.lr = 1e-2F;
-  tc.seed = 21;
-  tc.batch_size = 4;
-  tc.grad_accum = 2;
-
-  std::vector<Matrix> serial_params;
-  double serial_val = 0.0;
-  {
-    PoolGuard pool(1);
-    tc.shards = 1;
-    QorPredictor p(Approach::kOffTheShelf, mc, tc);
-    p.fit(samples, split, Metric::kLut, FitOptions{});
-    const FitReport r = p.refit(delta);
-    EXPECT_TRUE(r.warm_started);
-    serial_params = snapshot_parameters(p.regressor());
-    serial_val = p.evaluate_mape(samples, split.test);
-  }
-  {
-    PoolGuard pool(4);
-    tc.shards = 4;
-    QorPredictor p(Approach::kOffTheShelf, mc, tc);
-    p.fit(samples, split, Metric::kLut, FitOptions{});
-    p.refit(delta);
-    const std::vector<Matrix> sharded_params =
-        snapshot_parameters(p.regressor());
-    ASSERT_EQ(serial_params.size(), sharded_params.size());
-    for (std::size_t i = 0; i < serial_params.size(); ++i) {
-      EXPECT_TRUE(serial_params[i] == sharded_params[i])
-          << "parameter " << i;
-    }
-    EXPECT_EQ(serial_val, p.evaluate_mape(samples, split.test));
-  }
-}
-
-TEST(RefitTest, WarmRefitMovesDeterministicallyColdDiffers) {
-  const auto samples = small_corpus(30, 616);
-  const auto delta = small_corpus(6, 717);
-  const SplitIndices split =
-      split_80_10_10(static_cast<int>(samples.size()), 8);
-  ModelConfig mc;
-  mc.kind = GnnKind::kGcn;
-  mc.hidden = 12;
-  mc.layers = 2;
-  TrainConfig tc;
-  tc.epochs = 4;
-  tc.lr = 1e-2F;
-  tc.seed = 5;
-  tc.batch_size = 4;
-
-  auto fit_fresh = [&] {
-    auto p = std::make_unique<QorPredictor>(Approach::kOffTheShelf, mc, tc);
-    p->fit(samples, split, Metric::kLut, FitOptions{});
-    return p;
-  };
-
-  auto a = fit_fresh();
-  const std::vector<Matrix> before = snapshot_parameters(a->regressor());
-  EXPECT_EQ(a->refits(), 0);
-  a->refit(delta);
-  EXPECT_EQ(a->refits(), 1);
-  const std::vector<Matrix> warm1 = snapshot_parameters(a->regressor());
-  // The refit actually moved the model.
-  bool moved = false;
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    if (!(before[i] == warm1[i])) moved = true;
-  }
-  EXPECT_TRUE(moved);
-
-  // Deterministic: an identical fit + refit sequence lands bitwise equal.
-  auto b = fit_fresh();
-  b->refit(delta);
-  const std::vector<Matrix> warm2 = snapshot_parameters(b->regressor());
-  ASSERT_EQ(warm1.size(), warm2.size());
-  for (std::size_t i = 0; i < warm1.size(); ++i) {
-    EXPECT_TRUE(warm1[i] == warm2[i]) << "parameter " << i;
-  }
-
-  // A cold refit (fresh init over the grown corpus) takes another path.
-  auto c = fit_fresh();
-  FitOptions cold = QorPredictor::refit_defaults();
-  cold.warm_start = false;
-  const FitReport cold_report = c->refit(delta, cold);
-  EXPECT_FALSE(cold_report.warm_started);
-  const std::vector<Matrix> cold_params = snapshot_parameters(c->regressor());
-  bool differs = false;
-  for (std::size_t i = 0; i < warm1.size(); ++i) {
-    if (!(warm1[i] == cold_params[i])) differs = true;
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(RefitTest, RefitBeforeFitThrows) {
-  ModelConfig mc;
-  TrainConfig tc;
-  QorPredictor p(Approach::kOffTheShelf, mc, tc);
-  EXPECT_THROW(p.refit(small_corpus(2, 1)), std::invalid_argument);
-}
-
-TEST(RefitTest, ClassifierFitReportSelectsHighestAccuracy) {
+TEST(FitReportTest, ClassifierFitReportSelectsHighestAccuracy) {
   const auto samples = small_corpus(24, 2222);
   const SplitIndices split =
       split_80_10_10(static_cast<int>(samples.size()), 6);

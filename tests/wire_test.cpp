@@ -1,9 +1,10 @@
 // serve/wire.h codec tests: encode→decode identity for randomized (seeded)
 // request/response frames over synthetic samples of both graph kinds, torn
 // delivery at every chunk size down to one byte, version forward-compat
-// (unknown minor decodes, unknown major rejects cleanly), and every decoder
-// poison path: garbage magic, bad frame type, oversized length prefix,
-// short bodies, and the error latch itself.
+// (unknown minor decodes, unknown major rejects cleanly), every decoder
+// poison path (garbage magic, bad frame type, oversized length prefix,
+// short bodies, and the error latch itself), and a seeded mutation fuzz of
+// whole request streams through the decoder and the sample payload parser.
 #include <cstring>
 #include <limits>
 #include <string>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "dataset/serialize.h"
+#include "gnn/feature_encoder.h"
 #include "serve/wire.h"
 #include "support/rng.h"
 
@@ -319,6 +321,142 @@ TEST(WirePoisonTest, NamesCoverAllCodes) {
             WireResult::kOverCapacity);
   EXPECT_EQ(wire_result_from_admit(AdmitStatus::kShutdown),
             WireResult::kShutdown);
+}
+
+// ----- seeded mutation fuzz -----
+
+/// One mutation of a wire byte stream. Positions and values come from
+/// `rng`, so a (seed, mutant index) pair replays exactly.
+void mutate(std::string& bytes, Rng& rng) {
+  if (bytes.empty()) {
+    bytes.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+    return;
+  }
+  const int last = static_cast<int>(bytes.size()) - 1;
+  switch (rng.uniform_int(0, 5)) {
+    case 0: {  // flip one bit
+      const std::size_t at = static_cast<std::size_t>(rng.uniform_int(0, last));
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_int(0, 7)));
+      break;
+    }
+    case 1: {  // overwrite one byte
+      const std::size_t at = static_cast<std::size_t>(rng.uniform_int(0, last));
+      bytes[at] = static_cast<char>(rng.uniform_int(0, 255));
+      break;
+    }
+    case 2: {  // retype one digit: keeps the payload text parseable deeper
+      for (int tries = 0; tries < 16; ++tries) {
+        const std::size_t at =
+            static_cast<std::size_t>(rng.uniform_int(0, last));
+        if (bytes[at] >= '0' && bytes[at] <= '9') {
+          bytes[at] = static_cast<char>('0' + rng.uniform_int(0, 9));
+          break;
+        }
+      }
+      break;
+    }
+    case 3:  // truncate
+      bytes.resize(static_cast<std::size_t>(rng.uniform_int(0, last)));
+      break;
+    case 4: {  // insert a short run of random bytes
+      const std::size_t at =
+          static_cast<std::size_t>(rng.uniform_int(0, last + 1));
+      std::string run(static_cast<std::size_t>(rng.uniform_int(1, 8)), '\0');
+      for (char& c : run) c = static_cast<char>(rng.uniform_int(0, 255));
+      bytes.insert(at, run);
+      break;
+    }
+    default: {  // rewrite the first frame's body-length prefix
+      if (bytes.size() < kWireHeaderBytes) break;
+      std::uint32_t len = 0;
+      for (int b = 0; b < 4; ++b) {
+        len |= static_cast<std::uint32_t>(
+                   static_cast<unsigned char>(bytes[8 + b]))
+               << (8 * b);
+      }
+      switch (rng.uniform_int(0, 3)) {
+        case 0: len += static_cast<std::uint32_t>(rng.uniform_int(1, 64)); break;
+        case 1: len -= static_cast<std::uint32_t>(rng.uniform_int(1, 64)); break;
+        case 2: len = static_cast<std::uint32_t>(rng.uniform_int(0, 64)); break;
+        default: len = static_cast<std::uint32_t>(rng.fork_seed()); break;
+      }
+      std::string prefix;
+      put_u32_raw(prefix, len);
+      bytes.replace(8, 4, prefix);
+      break;
+    }
+  }
+}
+
+TEST(WireFuzzTest, SeededMutantsNeverThrowOrLeakAHalfDecodedSample) {
+  // Valid request frames for both graph kinds, plus a stats request.
+  std::vector<std::string> frames;
+  for (const GraphKind kind : {GraphKind::kDfg, GraphKind::kCdfg}) {
+    std::uint64_t id = 1;
+    for (const Sample& s : tiny_dataset(kind, 3, 707 + static_cast<int>(kind))) {
+      RequestFrame req;
+      req.request_id = id++;
+      req.payload = encode_sample_payload(s);
+      frames.push_back(encode_request_frame(req));
+    }
+  }
+  frames.push_back(encode_stats_request_frame(StatsFrame{42, ""}));
+
+  constexpr int kMutants = 3000;
+  Rng rng(20261020);
+  int frames_seen = 0, samples_ok = 0, payload_rejects = 0, poisoned = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    // A stream of one or two frames, one to three stacked mutations.
+    std::string bytes = rng.choice(frames);
+    if (rng.bernoulli(0.3)) bytes += rng.choice(frames);
+    const int mutations = rng.uniform_int(1, 3);
+    for (int k = 0; k < mutations; ++k) mutate(bytes, rng);
+
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    try {
+      WireDecoder dec;
+      WireStatus st = WireStatus::kNeedMore;
+      std::size_t off = 0;
+      while (off < bytes.size() && !wire_status_is_error(st)) {
+        const std::size_t n = std::min(
+            bytes.size() - off,
+            static_cast<std::size_t>(rng.uniform_int(1, 512)));
+        dec.feed(bytes.data() + off, n);
+        off += n;
+        DecodedFrame frame;
+        while ((st = dec.next(frame)) == WireStatus::kFrame) {
+          ++frames_seen;
+          if (frame.type != kWireTypeRequest) continue;
+          const DecodedSample d = decode_sample_payload(frame.request.payload);
+          if (d.ok()) {
+            ASSERT_NE(d.sample, nullptr);
+            // A decoded sample is inference-ready: its features build.
+            for (const Approach a :
+                 {Approach::kOffTheShelf, Approach::kKnowledgeRich,
+                  Approach::kKnowledgeInfused}) {
+              EXPECT_EQ(InputFeatureBuilder::build(d.sample->graph(), a).rows(),
+                        d.sample->graph().num_nodes());
+            }
+            ++samples_ok;
+          } else {
+            ASSERT_EQ(d.sample, nullptr);
+            EXPECT_NE(parse_status_name(d.status), "unknown");
+            ++payload_rejects;
+          }
+        }
+        ASSERT_NE(wire_status_name(st), "unknown");
+      }
+      if (wire_status_is_error(st)) ++poisoned;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant threw: " << e.what();
+    }
+  }
+  // The budget reached every outcome: clean frames, payloads the parser
+  // rejected, and poisoned streams.
+  EXPECT_GT(frames_seen, 0);
+  EXPECT_GT(samples_ok, 0);
+  EXPECT_GT(payload_rejects, 0);
+  EXPECT_GT(poisoned, 0);
 }
 
 }  // namespace
